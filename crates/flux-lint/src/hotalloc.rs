@@ -1,9 +1,9 @@
 //! Hot-path allocation accounting (`hotalloc`).
 //!
 //! The broker's per-message path — frame encode/decode, sim event
-//! dispatch, kvs batch apply and shard push, broker routing — runs
-//! once per message at paper-scale rates (millions of events per
-//! second in the 8192-rank cells). A single `format!` or fresh
+//! dispatch, kvs authoritative apply and push batching, broker
+//! routing — runs once per message at paper-scale rates (millions of
+//! events per second in the 8192-rank cells). A single `format!` or fresh
 //! `Vec::new` on that path turns into millions of allocator round
 //! trips; PR 5/6 bought their measured wins precisely by hunting these
 //! down by hand. This pass keeps them from creeping back.
@@ -67,11 +67,11 @@ const HOT_ROOTS: &[(&str, &str)] = &[
     ("crates/sim/src/queue.rs", "locate_min"),
     ("crates/sim/src/queue.rs", "peek_min"),
     ("crates/sim/src/queue.rs", "pop_min"),
-    // kvs batch apply and shard push
-    ("crates/kvs/src/module.rs", "shard_apply"),
-    ("crates/kvs/src/module.rs", "note_push"),
-    ("crates/kvs/src/module.rs", "handle_shard_push"),
-    ("crates/kvs/src/module.rs", "flush_batch"),
+    // kvs authoritative apply, push batching and dedup
+    ("crates/kvs/src/module/apply.rs", "apply"),
+    ("crates/kvs/src/module/apply.rs", "note_push"),
+    ("crates/kvs/src/module/apply.rs", "handle_push"),
+    ("crates/kvs/src/module/apply.rs", "flush_batch"),
     // broker route
     ("crates/broker/src/broker.rs", "send_tree"),
     ("crates/broker/src/broker.rs", "route_response"),

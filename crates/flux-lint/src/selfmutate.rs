@@ -49,7 +49,7 @@ const MUTATIONS: &[Mutation] = &[
     Mutation {
         name: "undeclared-errno-in-dispatch-arm",
         rule: "error-codes",
-        file: "crates/kvs/src/module.rs",
+        file: "crates/kvs/src/module/mod.rs",
         apply: |src| {
             let pat = "Err(()) => ctx.respond_err(msg, errnum::EINVAL),";
             src.contains(pat).then(|| {
@@ -57,12 +57,12 @@ const MUTATIONS: &[Mutation] = &[
             })
         },
     },
-    // Shard safety: the push-join consumption compares against a bare
+    // Shard safety: the join-part consumption compares against a bare
     // integer, erasing the EINVAL wrong-master discrimination.
     Mutation {
         name: "einval-discrimination-erased",
         rule: "shard-safety",
-        file: "crates/kvs/src/module.rs",
+        file: "crates/kvs/src/module/mod.rs",
         apply: |src| {
             let pat = "msg.header.errnum == errnum::EINVAL";
             src.contains(pat)

@@ -325,9 +325,9 @@ methods! {
         Put = "put" => Rpc [EINVAL, ENAMETOOLONG];
         /// Stage a key removal.
         Unlink = "unlink" => Rpc [EINVAL, ENAMETOOLONG];
-        /// Push staged changes to the master and await the new version.
-        /// Fails only on malformed batches (upstream transport errors are
-        /// relayed verbatim).
+        /// Push staged changes to the shard masters and await the new
+        /// version (or frontier). Fails only on malformed batches; a part
+        /// lost to a transient upstream error is re-sent on the heartbeat.
         Commit = "commit" => Rpc [EINVAL];
         /// Internal: a commit batch climbing the tree to the master.
         Push = "push" => Rpc [EINVAL];
