@@ -166,6 +166,17 @@ impl<'a> ModuleCtx<'a> {
         id
     }
 
+    /// Sends rank-addressed RPC `id`, first issued by
+    /// [`ModuleCtx::request_to_rank`], again under the same id. The
+    /// receiver sees the same request id, so its duplicate detection
+    /// recognises the copy; the first response to arrive — to either
+    /// send — is delivered to [`CommsModule::handle_response`].
+    pub fn resend_to_rank(&mut self, id: MsgId, to: Rank, topic: Topic, payload: impl Into<Payload>) {
+        let msg = Message::request_to(topic, id, self.core.rank(), to, payload);
+        self.core.register_pending(id, self.module_idx);
+        self.core.route_ring(msg);
+    }
+
     /// Publishes an event session-wide. Events are sequenced through the
     /// root, so all brokers observe all events in one total order.
     pub fn publish(&mut self, topic: Topic, payload: impl Into<Payload>) {

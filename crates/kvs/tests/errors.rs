@@ -154,3 +154,33 @@ fn wrong_value_in_dirty_object_manifest_is_rejected() {
     let resp = rpc(&mut net, Rank(1), req(Rank(1), "kvs.push", push));
     assert_eq!(resp.header.errnum, errnum::EINVAL, "{resp:?}");
 }
+
+#[test]
+fn shard_push_must_name_a_shard_this_rank_masters() {
+    let part = |shard: Option<i64>| {
+        let mut v = Value::from_pairs([("tuples", Value::array()), ("objects", Value::object())]);
+        if let Some(s) = shard {
+            v.insert("shard", Value::Int(s));
+        }
+        v
+    };
+    // One shard: parts climb the tree as kvs.push; a rank-addressed part
+    // is never valid, not even for shard 0 at the root.
+    let mut one = net(3);
+    for shard in [None, Some(0)] {
+        let resp = rpc(&mut one, Rank(0), req(Rank(0), "kvs.shard.push", part(shard)));
+        assert_eq!(resp.header.errnum, errnum::EINVAL, "{shard:?}: {resp:?}");
+    }
+    // Two shards: the part must name its shard, and rank 0 masters only
+    // shard 0.
+    let cfg = flux_kvs::KvsConfig { shards: 2, ..flux_kvs::KvsConfig::default() };
+    let mut two = TestNet::new(3, 2, move |_| {
+        vec![Box::new(KvsModule::with_config(cfg)) as Box<dyn CommsModule>]
+    });
+    for shard in [None, Some(1), Some(2)] {
+        let resp = rpc(&mut two, Rank(0), req(Rank(0), "kvs.shard.push", part(shard)));
+        assert_eq!(resp.header.errnum, errnum::EINVAL, "{shard:?}: {resp:?}");
+    }
+    let resp = rpc(&mut two, Rank(0), req(Rank(0), "kvs.shard.push", part(Some(0))));
+    assert!(!resp.is_error(), "{resp:?}");
+}
