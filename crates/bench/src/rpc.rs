@@ -10,8 +10,9 @@
 //! [`run_matrix`] produces the committed `BENCH_rpc.json`: wall-clock
 //! cells (never byte-reproducible), so the harness in
 //! `crates/bench/tests/rpc_harness.rs` pins *relations* — reactor above
-//! thread-per-link at the same load, deep windows above window 1 — not
-//! absolute numbers.
+//! thread-per-link at the same high load, deep windows above window 1,
+//! reactor latency near thread-per-link's at one client — not absolute
+//! numbers.
 
 use crate::threadlink::ThreadLinkServer;
 use flux_broker::client::{ClientCore, Delivery};
@@ -274,22 +275,28 @@ fn cell_json(name: &str, kind: ServerKind, p: &RpcParams, r: &RpcReport) -> Valu
     ])
 }
 
+/// Client counts of the low-load cells: window 1, both architectures,
+/// so the committed matrix shows the latency floor as well as the
+/// high-load regime the reactor was built for.
+const LOW_LOAD_CLIENTS: [usize; 3] = [1, 8, 64];
+
+fn cell_name(kind: ServerKind, clients: usize, window: usize) -> String {
+    format!("{}/{}c/w{}", kind.name(), clients, window)
+}
+
 /// The cell list: `(name, server, params)`. The full matrix holds the
 /// acceptance cells — a ≥1k-client head-to-head at window 32, the
-/// window-1 pipelining ablation, and a 4k-client reactor scale point
+/// window-1 pipelining ablation, a 4k-client reactor scale point
 /// (4k × 2 sockets stays under the host's 20k fd ceiling; the
 /// thread-per-link server at 4k clients would need 8k OS threads, which
 /// is exactly the scaling wall the reactor removes, so that cell is
-/// reactor-only). Smoke cells keep CI minutes-fast.
+/// reactor-only), and the low-load window-1 head-to-heads at 1, 8 and
+/// 64 clients. Smoke cells keep CI minutes-fast.
 fn cells(smoke: bool) -> Vec<(String, ServerKind, RpcParams)> {
     let mk = |kind: ServerKind, clients: usize, window: usize, per_client: usize| {
-        (
-            format!("{}/{}c/w{}", kind.name(), clients, window),
-            kind,
-            RpcParams { clients, window, per_client },
-        )
+        (cell_name(kind, clients, window), kind, RpcParams { clients, window, per_client })
     };
-    if smoke {
+    let mut cells = if smoke {
         vec![
             mk(ServerKind::Reactor, 64, 16, 32),
             mk(ServerKind::ThreadLink, 64, 16, 32),
@@ -302,7 +309,16 @@ fn cells(smoke: bool) -> Vec<(String, ServerKind, RpcParams)> {
             mk(ServerKind::Reactor, 1024, 1, 10),
             mk(ServerKind::Reactor, 4096, 32, 32),
         ]
+    };
+    let low_clients: &[usize] = if smoke { &LOW_LOAD_CLIENTS[..1] } else { &LOW_LOAD_CLIENTS };
+    for &clients in low_clients {
+        // ~2000 round trips per cell: a stable median in under a second.
+        let per_client = (2000 / clients).max(32);
+        for kind in [ServerKind::Reactor, ServerKind::ThreadLink] {
+            cells.push(mk(kind, clients, 1, per_client));
+        }
     }
+    cells
 }
 
 /// Runs the cell matrix and returns the `BENCH_rpc.json` document.
@@ -359,6 +375,16 @@ pub fn check_schema(doc: &Value) -> Vec<String> {
         errs.push("no cells array".into());
         return errs;
     };
+    if doc.get("smoke").and_then(Value::as_bool) == Some(false) {
+        for clients in LOW_LOAD_CLIENTS {
+            for kind in [ServerKind::Reactor, ServerKind::ThreadLink] {
+                let want = cell_name(kind, clients, 1);
+                if !cells.iter().any(|c| c.get("name").and_then(Value::as_str) == Some(&want)) {
+                    errs.push(format!("full matrix lacks low-load cell {want}"));
+                }
+            }
+        }
+    }
     for c in cells {
         let name = c.get("name").and_then(Value::as_str).unwrap_or("<unnamed>");
         for field in ["clients", "window", "per_client", "total_rpcs", "elapsed_ns"] {

@@ -10,7 +10,10 @@
 //! * deep request windows are strictly above window 1 (pipelining pays);
 //! * the 4k-client scale point exists and completed every RPC —
 //!   a population the thread-per-link architecture would need 8k OS
-//!   threads to serve.
+//!   threads to serve;
+//! * at one client and window 1 — the low-load latency floor — the
+//!   reactor's median round trip is within 1.5× the thread-per-link
+//!   baseline's, whose blocked reader thread wakes on the first byte.
 //!
 //! Plus a live smoke: a small cell of each architecture actually runs.
 
@@ -39,6 +42,14 @@ fn tput(doc: &Value, name: &str) -> f64 {
         .unwrap_or_else(|| panic!("cell {name}: no throughput"))
 }
 
+fn p50_ns(doc: &Value, name: &str) -> i64 {
+    cell(doc, name)
+        .get("latency")
+        .and_then(|l| l.get("p50_ns"))
+        .and_then(Value::as_int)
+        .unwrap_or_else(|| panic!("cell {name}: no latency.p50_ns"))
+}
+
 #[test]
 fn golden_file_passes_the_schema_check() {
     let doc = golden();
@@ -49,6 +60,29 @@ fn golden_file_passes_the_schema_check() {
         Some(false),
         "committed file must be the full matrix, not a CI smoke run"
     );
+}
+
+#[test]
+fn schema_check_requires_the_low_load_cells_in_a_full_matrix() {
+    let doc = golden();
+    let cells = doc.get("cells").and_then(Value::as_array).expect("cells array");
+    let without: Vec<Value> = cells
+        .iter()
+        .filter(|c| c.get("name").and_then(Value::as_str) != Some("tcpthreads/8c/w1"))
+        .cloned()
+        .collect();
+    let doc_without = |smoke: bool| {
+        Value::from_pairs([
+            ("schema", Value::from(rpc::SCHEMA)),
+            ("smoke", Value::from(smoke)),
+            ("cells", Value::Array(without.clone())),
+        ])
+    };
+    assert_eq!(
+        rpc::check_schema(&doc_without(false)),
+        vec!["full matrix lacks low-load cell tcpthreads/8c/w1".to_string()]
+    );
+    assert!(rpc::check_schema(&doc_without(true)).is_empty(), "a smoke run may omit it");
 }
 
 #[test]
@@ -88,6 +122,18 @@ fn pipelining_beats_window_one() {
         .and_then(Value::as_float)
         .expect("pipelining.speedup_deep_over_w1");
     assert!(speedup > 1.0);
+}
+
+#[test]
+fn reactor_latency_floor_matches_thread_per_link_at_one_client() {
+    let doc = golden();
+    let reactor = p50_ns(&doc, "reactor/1c/w1");
+    let threads = p50_ns(&doc, "tcpthreads/1c/w1");
+    assert!(
+        reactor as f64 <= 1.5 * threads as f64,
+        "reactor p50 at 1 client ({reactor} ns) must be within 1.5x of \
+         thread-per-link ({threads} ns) — an idle reactor's park sits on every request"
+    );
 }
 
 #[test]

@@ -29,8 +29,6 @@ pub(crate) struct Core {
     outputs: Vec<Output>,
     /// Module-originated RPCs awaiting responses: id → module index.
     pending: HashMap<MsgId, usize>,
-    /// Ids whose modules expect further responses (streaming replies).
-    sticky_pending: HashMap<MsgId, usize>,
     /// Locally raised messages to process after the current dispatch.
     raised: VecDeque<Message>,
     /// Event-plane sequencing (root only).
@@ -109,12 +107,7 @@ impl Core {
             },
             None => {
                 // This broker originated the RPC from a module.
-                if let Some(&idx) = self.pending.get(&msg.header.id) {
-                    if self.sticky_pending.contains_key(&msg.header.id) {
-                        // keep for streaming replies
-                    } else {
-                        self.pending.remove(&msg.header.id);
-                    }
+                if let Some(idx) = self.pending.remove(&msg.header.id) {
                     self.raised.push_back(msg);
                     self.raised_response_module.push_back(idx);
                 }
@@ -234,20 +227,6 @@ impl Core {
         let owner = (module_idx as u64 + 1) << TOKEN_OWNER_SHIFT;
         self.outputs.push(Output::SetTimer { delay_ns, token: owner | token });
     }
-
-    /// Mark an RPC id as expecting multiple responses (streaming).
-    pub(crate) fn expect_more(&mut self, id: MsgId) {
-        if let Some(&idx) = self.pending.get(&id) {
-            self.sticky_pending.insert(id, idx);
-        }
-    }
-
-    /// Forget a streaming RPC id.
-    pub(crate) fn forget_pending(&mut self, id: MsgId) {
-        self.pending.remove(&id);
-        self.sticky_pending.remove(&id);
-    }
-
 }
 
 /// A comms session broker. See the crate docs for the model.
@@ -289,7 +268,6 @@ impl Broker {
                 now_ns: 0,
                 outputs: Vec::new(),
                 pending: HashMap::new(),
-                sticky_pending: HashMap::new(),
                 raised: VecDeque::new(),
                 raised_response_module: VecDeque::new(),
                 deliver_queue: VecDeque::new(),

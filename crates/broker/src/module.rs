@@ -194,18 +194,6 @@ impl<'a> ModuleCtx<'a> {
         self.core.config()
     }
 
-    /// Marks one of this module's RPC ids as expecting multiple responses
-    /// (streaming); pair with [`ModuleCtx::forget_request`].
-    pub fn expect_stream(&mut self, id: MsgId) {
-        self.core.expect_more(id);
-    }
-
-    /// Deregisters an RPC id (streaming or not); later responses for it
-    /// are dropped.
-    pub fn forget_request(&mut self, id: MsgId) {
-        self.core.forget_pending(id);
-    }
-
     /// Submits a locally originated request into this broker's routing
     /// (e.g. the `wexec` module storing output via `kvs.put`). Dispatched
     /// after the current handler returns; any response is routed to this

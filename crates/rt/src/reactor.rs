@@ -10,8 +10,12 @@
 //! broker drains whatever is ready — `WouldBlock` means "move on". When
 //! a full pass makes no progress the loop parks in the broker's command
 //! channel (`recv_timeout`), which doubles as the timer/fault-release
-//! alarm; the park duration backs off adaptively so an idle broker costs
-//! a few wakeups per second while an active one spins at full rate.
+//! alarm: a channel event ends the park at once, socket readiness does
+//! not. How long it parks is [`park_budget`], a pure function of the
+//! time since the last pass that did work: a short tick while traffic
+//! is recent, so a request arriving on a socket waits tens of
+//! microseconds rather than a full park, then a park that grows with
+//! idle time up to a ceiling, so a quiet broker wakes rarely.
 //!
 //! ## State machines
 //!
@@ -57,6 +61,37 @@ const READS_PER_PASS: usize = 4;
 
 /// Connections accepted per pass.
 const ACCEPTS_PER_PASS: usize = 128;
+
+/// How long after the last pass that did work the reactor stays hot,
+/// re-scanning every [`TICK`]. A 1 kHz request stream (one arrival per
+/// millisecond) stays inside it, so its requests never meet a long park.
+/// The cost is idle CPU: the 100 ms heartbeat keeps every broker hot for
+/// 2 ms of every 100, which measured as ~0.10 of a core for an idle
+/// 16-broker session on a 2-vCPU host, against ~0.05 with no hot window.
+const HOT: Duration = Duration::from_millis(2);
+
+/// Park length while hot. The kernel's timer slack stretches a 20 µs
+/// `recv_timeout` to ~70 µs on Linux, and that sets the low-load
+/// round-trip floor: a 1 kHz `cmb.ping` stream against one broker
+/// measures p50 ~120 µs on a 2-vCPU host, against ~600 µs when the
+/// first idle park is 1 ms.
+const TICK: Duration = Duration::from_micros(20);
+
+/// Ceiling on a cold park: the worst-case delay before a quiet broker
+/// notices socket traffic, and at most 100 cold wakeups a second.
+const MAX_PARK: Duration = Duration::from_millis(10);
+
+/// How long the reactor may park after `idle` without work: [`TICK`]
+/// inside the [`HOT`] window, then `idle` itself (so the park length
+/// doubles with each park) up to [`MAX_PARK`]. Never decreases as
+/// `idle` grows. The caller still caps it by the next broker deadline.
+fn park_budget(idle: Duration) -> Duration {
+    if idle < HOT {
+        TICK
+    } else {
+        idle.min(MAX_PARK)
+    }
+}
 
 /// Flushes `buf[*sent..]` into a nonblocking stream. Returns whether any
 /// bytes moved; resets the buffer once fully drained.
@@ -361,18 +396,16 @@ impl ReactorPeers {
         let mut chunk = std::mem::take(&mut self.read_buf);
         for i in 0..self.conns.len() {
             // Take the connection out of its slot so handshake completion
-            // can borrow `self` (id assignment) without aliasing.
+            // can borrow `self` (id assignment and registration) without
+            // aliasing.
             let Some(mut conn) = self.conns[i].take() else { continue };
-            progress |= self.service_conn(&mut conn, &mut chunk, batch);
+            progress |= self.service_conn(i, &mut conn, &mut chunk, batch);
             if conn.dead {
                 if let ConnState::Client(id) = conn.state {
                     self.client_conn.remove(&id);
                 }
                 self.free.push(i);
             } else {
-                if let ConnState::Client(id) = conn.state {
-                    self.client_conn.insert(id, i);
-                }
                 self.conns[i] = Some(conn);
             }
         }
@@ -380,9 +413,16 @@ impl ReactorPeers {
         progress
     }
 
-    /// Reads one connection to `WouldBlock` (bounded per pass), feeding
-    /// the handshake then the frame decoder.
-    fn service_conn(&mut self, conn: &mut Conn, chunk: &mut [u8], batch: &mut Vec<Event>) -> bool {
+    /// Reads the connection in slab slot `slot` to `WouldBlock` (bounded
+    /// per pass), feeding the handshake then the frame decoder. A
+    /// completed client handshake registers the slot in `client_conn`.
+    fn service_conn(
+        &mut self,
+        slot: usize,
+        conn: &mut Conn,
+        chunk: &mut [u8],
+        batch: &mut Vec<Event>,
+    ) -> bool {
         // A half-open peer that never finishes identifying itself is
         // dropped at the handshake deadline.
         if matches!(conn.state, ConnState::Handshake { .. })
@@ -419,6 +459,7 @@ impl ReactorPeers {
                         let assigned = self.next_client;
                         self.next_client += 1;
                         conn.state = ConnState::Client(assigned);
+                        self.client_conn.insert(assigned, slot);
                         // Echo the assigned id (4 raw LE bytes) ahead of
                         // any frames so the client can namespace its
                         // request ids.
@@ -483,15 +524,6 @@ impl ReactorPeers {
         progress
     }
 
-    /// How long the reactor may park given `idle_streak` consecutive
-    /// no-progress passes: the configured poll interval, backed off
-    /// exponentially to the idle ceiling.
-    pub(crate) fn park_budget(&self, idle_streak: u32) -> Duration {
-        let base = self.config.poll_interval.max(Duration::from_micros(50));
-        let scaled = base.saturating_mul(1u32 << idle_streak.min(10));
-        scaled.min(self.config.max_poll_interval)
-    }
-
     /// Closes every socket (best-effort final flush first).
     pub(crate) fn close_all(&mut self) {
         for pool in &mut self.uplinks {
@@ -542,7 +574,7 @@ impl crate::live::PeerSender for ReactorPeers {
 pub(crate) fn run_reactor(mut host: BrokerHost<ReactorPeers>) {
     host.start_broker();
     let mut batch: Vec<Event> = Vec::new();
-    let mut idle_streak: u32 = 0;
+    let mut last_work = Instant::now();
     'outer: loop {
         host.service_timers();
         host.release_delayed();
@@ -579,20 +611,20 @@ pub(crate) fn run_reactor(mut host: BrokerHost<ReactorPeers>) {
             }
         }
         if io_progress || had_frames || channel_work {
-            idle_streak = 0;
+            last_work = Instant::now();
             continue;
         }
         // Nothing moved: park in the channel until the next deadline or
-        // the (backed-off) poll tick.
-        idle_streak = idle_streak.saturating_add(1);
-        let budget = host.peers.park_budget(idle_streak);
+        // the idle policy's budget, whichever is sooner.
+        let now = Instant::now();
+        let budget = park_budget(now.saturating_duration_since(last_work));
         let timeout = match host.next_deadline() {
-            Some(at) => at.saturating_duration_since(Instant::now()).min(budget),
+            Some(at) => at.saturating_duration_since(now).min(budget),
             None => budget,
         };
         match host.rx.recv_timeout(timeout) {
             Ok(ev) => {
-                idle_streak = 0;
+                last_work = Instant::now();
                 if !host.handle_event(ev) {
                     break;
                 }
@@ -602,4 +634,48 @@ pub(crate) fn run_reactor(mut host: BrokerHost<ReactorPeers>) {
         }
     }
     host.peers.close_all();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    // park_budget is a pure function of idle time, so the policy is
+    // tested with synthetic durations — no sleeps, no flakes.
+
+    fn us(n: u64) -> Duration {
+        Duration::from_micros(n)
+    }
+
+    #[test]
+    fn hot_window_ticks() {
+        for idle in [Duration::ZERO, us(1), us(500), us(1999), HOT - Duration::from_nanos(1)] {
+            assert_eq!(park_budget(idle), TICK, "idle {idle:?} is inside the hot window");
+        }
+    }
+
+    #[test]
+    fn past_the_window_the_park_equals_idle_time() {
+        for idle in [HOT, us(2001), us(4000), us(9999), MAX_PARK] {
+            assert_eq!(park_budget(idle), idle, "idle {idle:?}");
+        }
+    }
+
+    #[test]
+    fn park_never_exceeds_the_ceiling() {
+        for idle in [MAX_PARK, us(10_001), Duration::from_secs(1), Duration::MAX] {
+            assert_eq!(park_budget(idle), MAX_PARK, "idle {idle:?}");
+        }
+    }
+
+    #[test]
+    fn park_never_shrinks_as_idle_time_grows() {
+        let mut prev = Duration::ZERO;
+        for step in 0..=30_000u64 {
+            let budget = park_budget(us(step));
+            assert!(budget >= prev, "budget fell at {step} µs: {prev:?} -> {budget:?}");
+            assert!(budget <= MAX_PARK);
+            prev = budget;
+        }
+    }
 }

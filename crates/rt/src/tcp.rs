@@ -77,12 +77,6 @@ pub struct TcpConfig {
     /// to slot 0 (it needs per-link FIFO); tree/ring traffic
     /// round-robins the remaining slots.
     pub pool_size: usize,
-    /// Floor on the reactor's idle park duration (the poll tick when
-    /// sockets were recently active).
-    pub poll_interval: Duration,
-    /// Ceiling the idle park duration backs off to when nothing is
-    /// happening.
-    pub max_poll_interval: Duration,
     /// Per-connection outbound buffer cap, bytes. A peer this far
     /// behind gets new frames dropped (frame-aligned) rather than
     /// buffering without bound.
@@ -100,8 +94,6 @@ impl Default for TcpConfig {
             handshake_timeout: Duration::from_secs(5),
             max_frame: frame::MAX_FRAME,
             pool_size: 2,
-            poll_interval: Duration::from_micros(500),
-            max_poll_interval: Duration::from_millis(10),
             max_outbuf: 64 * 1024 * 1024,
         }
     }
