@@ -9,9 +9,9 @@
 //! bench drives both servers with the identical client load so the
 //! committed `BENCH_rpc.json` comparison isolates the I/O architecture.
 //!
-//! Deliberately *not* a [`flux_rt::transport::Transport`]: it hosts a
-//! single broker with socket clients only, which is all the sustained
-//! RPC benchmark needs.
+//! Deliberately *not* a [`flux_rt::Wire`]: it hosts a single broker
+//! with socket clients only, which is all the sustained RPC benchmark
+//! needs.
 
 use flux_broker::{Broker, BrokerConfig, ClientId, CommsModule, Input, Output};
 use flux_rt::tcp::CLIENT_HELLO;

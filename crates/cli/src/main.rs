@@ -2,7 +2,7 @@
 //!
 //! Paper §IV-A: *"A flux utility wraps command line access to about two
 //! dozen modular Flux sub-commands."* This binary hosts an ephemeral
-//! threaded comms session (there are no long-running daemons in the
+//! live comms session (there are no long-running daemons in the
 //! reproduction) and runs one or more sub-commands against it:
 //!
 //! ```text
@@ -43,12 +43,15 @@
 //! Multiple commands separated by `;` run against the *same* session, so
 //! `flux kvs put a.b 42 ; kvs commit ; kvs get a.b` round-trips.
 //!
-//! `--transport` selects the wire hosting the ephemeral session:
-//! `threads` (in-process channels, the default) or `tcp` (brokers linked
-//! over loopback TCP sockets; `reactor` is an accepted alias — each
-//! broker runs one poll-based reactor thread driving all of its
-//! nonblocking sockets, see DESIGN.md §19). `flux --transport tcp
-//! start` wires up a real-socket session and pings every rank.
+//! `--transport` selects the wire of the one `flux_rt::LiveSession`
+//! type hosting the ephemeral session: `threads` (in-process channels,
+//! the default) or `tcp` (brokers linked over loopback TCP sockets;
+//! `reactor` is an accepted alias — each broker runs one poll-based
+//! reactor thread driving all of its nonblocking sockets, see DESIGN.md
+//! §19). The flag is matched once into a function generic over the
+//! wire; `sim` is rejected (exit 2), since the simulator runs in virtual
+//! time. `flux --transport tcp start` wires up a real-socket session and
+//! pings every rank.
 //!
 //! `--faults SEED:SPEC` runs the session under a deterministic fault
 //! plan (see `flux_rt::FaultPlan::parse`): e.g.
@@ -65,8 +68,10 @@ use flux_proto::{
     keys, BarrierMethod, CmbMethod, GroupMethod, KvsMethod, LiveMethod, LogMethod, MonMethod,
     ResvcMethod, WexecMethod,
 };
-use flux_rt::transport::{FaultyTransport, TransportKind};
-use flux_rt::{FaultPlan, LiveClient};
+use flux_rt::tcp::Tcp;
+use flux_rt::threads::Channels;
+use flux_rt::transport::TransportKind;
+use flux_rt::{FaultPlan, LiveClient, LiveSession, Wire};
 use flux_value::Value;
 use flux_wire::{Message, Rank, Topic};
 use std::process::ExitCode;
@@ -79,7 +84,7 @@ struct Cli {
     core: ClientCore,
     tag: u64,
     size: u32,
-    transport: TransportKind,
+    transport: &'static str,
 }
 
 impl Cli {
@@ -450,37 +455,50 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    // Host an ephemeral session over the chosen transport; attach at the
-    // last rank (a leaf).
-    let Some(mut live) = transport.live() else {
-        eprintln!("flux: the sim transport runs in virtual time; use threads or tcp");
-        return ExitCode::from(2);
-    };
-    if let Some(flag) = faults {
-        // Epoch windows in the spec are scaled by the default heartbeat
-        // period (the CLI does not override broker configs).
-        let hb = flux_broker::BrokerConfig::new(Rank(0), size).hb_period_ns;
-        match FaultPlan::parse_flag(&flag, hb) {
-            Ok(plan) => live = Box::new(FaultyTransport::new(live, plan)),
-            Err(e) => {
-                eprintln!("flux: {e}");
-                return ExitCode::from(2);
-            }
+    // Epoch windows in the spec are scaled by the default heartbeat
+    // period (the CLI does not override broker configs).
+    let hb = flux_broker::BrokerConfig::new(Rank(0), size).hb_period_ns;
+    let plan = match faults.map(|flag| FaultPlan::parse_flag(&flag, hb)).transpose() {
+        Ok(plan) => plan,
+        Err(e) => {
+            eprintln!("flux: {e}");
+            return ExitCode::from(2);
         }
+    };
+    match transport {
+        TransportKind::Sim => {
+            eprintln!("flux: the sim transport runs in virtual time; use threads or tcp");
+            ExitCode::from(2)
+        }
+        TransportKind::Threads => host::<Channels>(size, arity, shards, plan, &args),
+        TransportKind::Tcp => host::<Tcp>(size, arity, shards, plan, &args),
     }
-    let factory = move |_: Rank| {
+}
+
+/// Hosts an ephemeral session over the wire `W`, attaches at the last
+/// rank (a leaf), and runs every `;`-separated command against it.
+fn host<W: Wire>(
+    size: u32,
+    arity: u32,
+    shards: u32,
+    plan: Option<FaultPlan>,
+    args: &[String],
+) -> ExitCode {
+    let mut builder = LiveSession::<W>::builder(size, arity, |_| {
         if shards > 1 {
             standard_modules_with_kvs(flux_kvs::KvsConfig { shards, ..Default::default() })
         } else {
             standard_modules()
         }
-    };
-    let mut builder = live.open(size, arity, &factory);
+    });
+    if let Some(plan) = &plan {
+        builder.set_faults(plan);
+    }
     let leaf = Rank(size - 1);
     let conn = builder.attach_client(leaf);
     let session = builder.start();
     let core = ClientCore::new(leaf, conn.client_id);
-    let mut cli = Cli { conn, core, tag: 0, size, transport };
+    let mut cli = Cli { conn, core, tag: 0, size, transport: W::NAME };
 
     let mut status = ExitCode::SUCCESS;
     for cmd in args.split(|a| a == ";") {

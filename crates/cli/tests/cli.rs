@@ -105,3 +105,52 @@ fn group_membership_via_cli() {
     assert!(stdout.contains("\"size\":1"), "{stdout}");
     assert!(stdout.contains("\"size\":0"), "{stdout}");
 }
+
+/// Runs `flux` and returns (stdout, stderr, exit code).
+fn flux_status(args: &[&str]) -> (String, String, Option<i32>) {
+    let out = Command::new(env!("CARGO_BIN_EXE_flux"))
+        .args(args)
+        .output()
+        .expect("flux binary runs");
+    (
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+        out.status.code(),
+    )
+}
+
+#[test]
+fn kvs_roundtrip_over_tcp() {
+    let (stdout, stderr, code) = flux_status(&[
+        "--transport", "tcp", "--size", "4", "start", ";", "kvs", "put", "tcp.x", "7", ";",
+        "kvs", "commit", ";", "kvs", "get", "tcp.x",
+    ]);
+    assert_eq!(code, Some(0), "stderr: {stderr}");
+    assert!(stdout.contains("session of 4 brokers up over tcp"), "{stdout}");
+    assert!(stdout.trim_end().ends_with('7'), "{stdout}");
+}
+
+#[test]
+fn sim_and_unknown_transports_are_rejected() {
+    let (_, stderr, code) = flux_status(&["--transport", "sim", "start"]);
+    assert_eq!(code, Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("virtual time"), "{stderr}");
+
+    let (_, stderr, code) = flux_status(&["--transport", "carrier-pigeon", "start"]);
+    assert_eq!(code, Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("unknown transport"), "{stderr}");
+}
+
+#[test]
+fn malformed_fault_spec_is_rejected() {
+    let (_, stderr, code) = flux_status(&["--faults", "no-seed-here", "start"]);
+    assert_eq!(code, Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("SEED:spec"), "{stderr}");
+}
+
+#[test]
+fn valid_fault_spec_runs_the_session() {
+    let (stdout, stderr, code) = flux_status(&["--faults", "7:drop=0.0", "ping", "1"]);
+    assert_eq!(code, Some(0), "stderr: {stderr}");
+    assert!(stdout.contains("pong from rank 1"), "{stdout}");
+}

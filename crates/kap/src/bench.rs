@@ -17,54 +17,29 @@
 use crate::runner::{run_kap_full, KapParams, KapRun, ProducerMode, SyncMode};
 use flux_broker::RankOverlay;
 use flux_kvs::KvsConfig;
-use flux_rt::transport::{SimTransport, TcpTransport, ThreadTransport};
+use flux_rt::tcp::Tcp;
+use flux_rt::threads::Channels;
+use flux_rt::transport::{LiveTransport, SimTransport, TransportKind};
 use flux_value::{Map, Value};
 
 /// Schema tag stamped into every document; bump on breaking layout
 /// changes so the CI smoke fails loudly instead of misreading fields.
 pub const SCHEMA: &str = "flux-kap-bench/v1";
 
-/// Which comms runtime a cell runs on.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum TransportKind {
-    /// Discrete-event simulator: virtual time, deterministic.
-    Sim,
-    /// In-process OS threads, wall-clock.
-    Threads,
-    /// Loopback TCP sockets, wall-clock.
-    Tcp,
-}
-
-impl TransportKind {
-    /// Stable name used in cell ids and the JSON.
-    pub fn name(self) -> &'static str {
-        match self {
-            TransportKind::Sim => "sim",
-            TransportKind::Threads => "threads",
-            TransportKind::Tcp => "tcp",
+/// Runs one configuration on `transport`. Sim sessions pick the
+/// rank-addressed overlay to match the workload: sharded cells route
+/// commit parts rank-addressed on the hot path, so they run the fully
+/// connected overlay instead of the prototype's debugging ring —
+/// tree-edge relaying would funnel every cross-subtree commit part
+/// through the root broker's send path.
+pub fn run_on(transport: TransportKind, p: &KapParams) -> KapRun {
+    match transport {
+        TransportKind::Sim => {
+            let overlay = if p.kvs.shards > 1 { RankOverlay::Full } else { RankOverlay::Ring };
+            run_kap_full(p, &SimTransport { net: p.net, overlay, ..SimTransport::default() })
         }
-    }
-
-    /// Whether results are deterministic across runs.
-    pub fn deterministic(self) -> bool {
-        self == TransportKind::Sim
-    }
-
-    /// Runs one configuration on this transport. Sim sessions pick the
-    /// rank-addressed overlay to match the workload: sharded cells route
-    /// commit parts rank-addressed on the hot path, so they run the
-    /// fully connected overlay instead of the prototype's debugging
-    /// ring — tree-edge relaying would funnel every cross-subtree
-    /// commit part through the root broker's send path.
-    pub fn run(self, p: &KapParams) -> KapRun {
-        match self {
-            TransportKind::Sim => {
-                let overlay = if p.kvs.shards > 1 { RankOverlay::Full } else { RankOverlay::Ring };
-                run_kap_full(p, &SimTransport { net: p.net, overlay, ..SimTransport::default() })
-            }
-            TransportKind::Threads => run_kap_full(p, &ThreadTransport),
-            TransportKind::Tcp => run_kap_full(p, &TcpTransport::default()),
-        }
+        TransportKind::Threads => run_kap_full(p, &LiveTransport::<Channels>::default()),
+        TransportKind::Tcp => run_kap_full(p, &LiveTransport::<Tcp>::default()),
     }
 }
 
@@ -95,7 +70,7 @@ fn phase_value(mut lats: Vec<u64>) -> Value {
 
 /// Runs one cell and renders its JSON record.
 pub fn run_cell(cell: &Cell) -> Value {
-    let run = cell.transport.run(&cell.params);
+    let run = run_on(cell.transport, &cell.params);
     cell_value(cell, &run)
 }
 
@@ -124,7 +99,7 @@ fn cell_value(cell: &Cell, run: &KapRun) -> Value {
     let mut pairs = vec![
         ("name", Value::from(cell.name.as_str())),
         ("transport", Value::from(cell.transport.name())),
-        ("deterministic", Value::from(cell.transport.deterministic())),
+        ("deterministic", Value::from(cell.transport == TransportKind::Sim)),
         ("value_size", Value::from(p.value_size)),
         ("redundant", Value::from(p.redundant)),
         ("nodes", Value::from(p.nodes)),
@@ -361,7 +336,7 @@ pub fn baseline_kvs() -> KvsConfig {
 
 fn margin_side(kvs: KvsConfig) -> (KapRun, Value) {
     let p = margin_params(kvs);
-    let run = TransportKind::Sim.run(&p);
+    let run = run_on(TransportKind::Sim, &p);
     let v = Value::from_pairs([
         ("makespan_ns", Value::from(run.makespan_ns as i64)),
         ("bytes_on_wire", Value::from(run.bytes as i64)),

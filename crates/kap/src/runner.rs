@@ -540,12 +540,16 @@ mod tests {
 
     #[test]
     fn same_workload_runs_on_live_transports() {
-        use flux_rt::transport::{TcpTransport, ThreadTransport};
+        use flux_rt::tcp::Tcp;
+        use flux_rt::threads::Channels;
+        use flux_rt::transport::LiveTransport;
         let mut p = KapParams::fully_populated(2);
         p.procs_per_node = 2;
         p.producers = p.total_procs();
         p.consumers = p.total_procs();
-        for transport in [&ThreadTransport as &dyn ScriptTransport, &TcpTransport::default()] {
+        let threads = LiveTransport::<Channels>::default();
+        let tcp = LiveTransport::<Tcp>::default();
+        for transport in [&threads as &dyn ScriptTransport, &tcp] {
             let r = run_kap_on(&p, transport);
             assert!(r.makespan_ns > 0, "{} ran", transport.name());
             assert_eq!(r.events, 0, "live transports have no engine stats");

@@ -60,7 +60,9 @@ use std::sync::Arc;
 /// KVS tuning knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct KvsConfig {
-    /// Slave-cache entries unused for this many heartbeat epochs expire.
+    /// Slave-cache entries unused for this many heartbeat epochs expire
+    /// ("unused slave object cache entries are expired after a period of
+    /// disuse").
     pub expiry_epochs: u64,
     /// Fence aggregation window: contributions arriving within this
     /// window merge into one upstream message (the tree reduction).
@@ -491,8 +493,7 @@ impl CommsModule for KvsModule {
         // never expire. Everyone else pins the current roots.
         if self.master_shard.is_none() {
             let pinned: Vec<ObjectId> = self.slots.iter().map(|s| s.root).collect();
-            let expiry = ctx.config().kvs_expiry_epochs.max(self.cfg.expiry_epochs);
-            self.cache.expire(expiry, &pinned);
+            self.cache.expire(self.cfg.expiry_epochs, &pinned);
         }
         self.retry_loads(ctx);
         self.retry_joins(ctx);

@@ -630,9 +630,8 @@ fn slave_cache_expires_idle_entries_on_heartbeat() {
     let KvsReply::Stats(before) = rpc(&mut net, Rank(2), 0, &mut c, |c| c.stats(4)) else {
         panic!()
     };
-    // Heartbeats (injected as root events) advance cache epochs.
-    // The broker-config expiry (16 epochs) dominates the module config,
-    // so push past it.
+    // Heartbeats (injected as root events) advance cache epochs, well
+    // past the module's 2-epoch expiry.
     for epoch in 1..=40u64 {
         net.publish_from_root(
             Topic::from_static("hb"),
@@ -651,6 +650,32 @@ fn slave_cache_expires_idle_entries_on_heartbeat() {
         rpc(&mut net, Rank(2), 0, &mut c, |c| c.get("e.k", 6)),
         KvsReply::Value(Value::from("data"))
     );
+}
+
+/// The module's own `expiry_epochs` is the whole expiry policy: a
+/// setting below the 16-epoch default takes effect, so an idle entry is
+/// gone after 4 heartbeat epochs of a 2-epoch expiry.
+#[test]
+fn slave_cache_honours_a_short_module_expiry() {
+    let mut net = TestNet::new(3, 2, |_| {
+        vec![Box::new(KvsModule::with_config(KvsConfig { expiry_epochs: 2, window_ns: 1000, ..KvsConfig::default() }))
+            as Box<dyn CommsModule>]
+    });
+    let mut c = KvsClient::new(Rank(2), 0);
+    let _ = rpc(&mut net, Rank(2), 0, &mut c, |c| c.put("x.k", Value::from("data"), 1));
+    let _ = rpc(&mut net, Rank(2), 0, &mut c, |c| c.commit(2));
+    let _ = rpc(&mut net, Rank(2), 0, &mut c, |c| c.get("x.k", 3));
+    for epoch in 1..=4u64 {
+        net.publish_from_root(
+            Topic::from_static("hb"),
+            Value::from_pairs([("epoch", Value::from(epoch as i64))]),
+        );
+    }
+    let KvsReply::Stats(after) = rpc(&mut net, Rank(2), 0, &mut c, |c| c.stats(4)) else {
+        panic!()
+    };
+    let expired = after.get("expired").and_then(Value::as_int).unwrap();
+    assert!(expired > 0, "a 2-epoch expiry left every entry after 4 epochs: {after:?}");
 }
 
 #[test]

@@ -30,23 +30,13 @@ struct BarrierAcc {
     seen_batches: HashSet<(u32, u64)>,
 }
 
-/// Tuning for the aggregation window.
-#[derive(Clone, Copy, Debug)]
-pub struct BarrierConfig {
-    /// Contributions arriving within this window merge into one upstream
-    /// message.
-    pub window_ns: u64,
-}
-
-impl Default for BarrierConfig {
-    fn default() -> Self {
-        BarrierConfig { window_ns: 20_000 }
-    }
-}
+/// Contributions arriving within this window merge into one upstream
+/// message: 20 µs still catches entries that arrive together (a node's
+/// co-located processes) while adding little to the release latency.
+const WINDOW_NS: u64 = 20_000;
 
 /// The barrier module.
 pub struct BarrierModule {
-    cfg: BarrierConfig,
     barriers: HashMap<String, BarrierAcc>,
     tokens: HashMap<u64, String>,
     next_token: u64,
@@ -58,15 +48,9 @@ pub struct BarrierModule {
 }
 
 impl BarrierModule {
-    /// Creates the module with default tuning.
+    /// Creates the module.
     pub fn new() -> BarrierModule {
-        Self::with_config(BarrierConfig::default())
-    }
-
-    /// Creates the module with explicit tuning.
-    pub fn with_config(cfg: BarrierConfig) -> BarrierModule {
         BarrierModule {
-            cfg,
             barriers: HashMap::new(),
             tokens: HashMap::new(),
             next_token: 0,
@@ -97,7 +81,7 @@ impl BarrierModule {
         } else if !self.barriers[name].window_armed {
             self.next_token += 1;
             self.tokens.insert(self.next_token, name.to_owned());
-            ctx.set_timer(self.cfg.window_ns, self.next_token);
+            ctx.set_timer(WINDOW_NS, self.next_token);
             self.barriers.get_mut(name).expect("just inserted").window_armed = true;
         }
     }

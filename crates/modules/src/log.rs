@@ -61,27 +61,20 @@ impl LogEntry {
     }
 }
 
-/// Log module tuning.
-#[derive(Clone, Copy, Debug)]
-pub struct LogConfig {
-    /// Circular debug buffer capacity per broker.
-    pub ring_capacity: usize,
-    /// Only entries at or above (numerically ≤) this level forward to the
-    /// root on heartbeats.
-    pub forward_level: i64,
-    /// Root session log capacity (oldest entries drop beyond this).
-    pub root_capacity: usize,
-}
+/// Circular debug buffer capacity per broker: enough context around a
+/// fault for a `log.dump` without growing with session length.
+const RING_CAPACITY: usize = 256;
 
-impl Default for LogConfig {
-    fn default() -> Self {
-        LogConfig { ring_capacity: 256, forward_level: level::INFO, root_capacity: 65536 }
-    }
-}
+/// Only entries at or above (numerically ≤) this level forward to the
+/// root on heartbeats; debug chatter stays in the local ring.
+const FORWARD_LEVEL: i64 = level::INFO;
+
+/// Root session log capacity (oldest entries drop beyond this), so a
+/// chatty long-running session cannot grow the root without bound.
+const ROOT_CAPACITY: usize = 65536;
 
 /// The log module.
 pub struct LogModule {
-    cfg: LogConfig,
     /// Circular debug buffer (all levels).
     ring: VecDeque<LogEntry>,
     /// Entries awaiting the next heartbeat flush.
@@ -93,15 +86,9 @@ pub struct LogModule {
 }
 
 impl LogModule {
-    /// Creates the module with default tuning.
+    /// Creates the module.
     pub fn new() -> LogModule {
-        Self::with_config(LogConfig::default())
-    }
-
-    /// Creates the module with explicit tuning.
-    pub fn with_config(cfg: LogConfig) -> LogModule {
         LogModule {
-            cfg,
             ring: VecDeque::new(),
             batch: Vec::new(),
             session_log: VecDeque::new(),
@@ -110,11 +97,11 @@ impl LogModule {
     }
 
     fn append(&mut self, ctx: &mut ModuleCtx<'_>, entry: LogEntry) {
-        if self.ring.len() == self.cfg.ring_capacity {
+        if self.ring.len() == RING_CAPACITY {
             self.ring.pop_front();
         }
         self.ring.push_back(entry.clone());
-        if entry.level <= self.cfg.forward_level {
+        if entry.level <= FORWARD_LEVEL {
             if ctx.is_root() {
                 self.root_store(entry);
             } else {
@@ -124,7 +111,7 @@ impl LogModule {
     }
 
     fn root_store(&mut self, entry: LogEntry) {
-        if self.session_log.len() == self.cfg.root_capacity {
+        if self.session_log.len() == ROOT_CAPACITY {
             self.session_log.pop_front();
         }
         self.session_log.push_back(entry);

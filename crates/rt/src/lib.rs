@@ -7,29 +7,30 @@
 //!   actor per attached client process, the paper's cost model on every
 //!   link. This is where paper-scale runs (512 nodes × 16 processes)
 //!   happen, measured in virtual time.
-//! * [`threads::ThreadSession`] — the same brokers on real OS threads
-//!   connected by std mpsc channels, measured in wall-clock time. Used
-//!   by integration tests and small live demos; it demonstrates that the
-//!   protocol stack is runtime-agnostic (nothing in broker/module/KVS
-//!   code knows which runtime it is on).
-//! * [`tcp::TcpSession`] — the brokers wired over real loopback TCP
-//!   sockets carrying length-prefixed `flux-wire` frames. One poll-based
-//!   reactor thread per broker drives every socket nonblocking (the
-//!   `reactor` module behind [`tcp`]): pooled broker→broker links,
-//!   pipelined socket clients, jittered nonblocking connect retry. The
-//!   closest analogue of the prototype's ØMQ TCP overlay.
+//! * [`LiveSession<W>`] — the same brokers live, one OS thread each,
+//!   measured in wall-clock time. It demonstrates that the protocol
+//!   stack is runtime-agnostic (nothing in broker/module/KVS code knows
+//!   which runtime it is on). The wire `W` is the only thing that
+//!   varies:
+//!   - [`threads::Channels`] ([`threads::ThreadSession`]) links brokers
+//!     by std mpsc channels; used by integration tests and small live
+//!     demos.
+//!   - [`tcp::Tcp`] ([`tcp::TcpSession`]) wires them over real loopback
+//!     TCP sockets carrying length-prefixed `flux-wire` frames. One
+//!     poll-based reactor thread per broker drives every socket
+//!     nonblocking: an event link and a bulk link per peer, pipelined
+//!     socket clients, jittered nonblocking connect retry. The closest
+//!     analogue of the prototype's ØMQ TCP overlay.
 //!
-//! The [`transport`] module abstracts over them: [`transport::Transport`]
-//! is the object-safe factory for live sessions (pick `threads` or `tcp`
-//! at runtime), and [`transport::ScriptTransport`] runs scripted client
-//! workloads on any of the three runtimes, including the simulator.
+//! [`transport::ScriptTransport`] runs scripted client workloads on any
+//! of the three runtimes: [`transport::SimTransport`] on the simulator,
+//! [`transport::LiveTransport<W>`] on either wire.
 //!
 //! All runtimes load arbitrary [`flux_broker::CommsModule`] sets, attach
 //! any number of clients per broker, and reconstruct message planes from
 //! message shape (events → event plane, rank-addressed → ring, otherwise
 //! tree), so the wire behaviour matches the paper's three-plane wire-up.
-
-
+//!
 //! Fault injection ([`faults::FaultPlan`]) rides below all of this: the
 //! simulator applies a plan natively in virtual time, and the live
 //! runtimes apply the same plan per broker host, so one seeded fault
@@ -49,4 +50,4 @@ pub mod threads;
 pub mod transport;
 
 pub use faults::FaultPlan;
-pub use live::LiveClient;
+pub use live::{LiveClient, LiveSession, LiveSessionBuilder, Wire};

@@ -1,23 +1,30 @@
-//! Machinery shared by the live (wall-clock) runtimes.
+//! The live (wall-clock) runtime: one session type for both wires.
 //!
-//! [`threads::ThreadSession`](crate::threads::ThreadSession) and
-//! [`tcp::TcpSession`](crate::tcp::TcpSession) differ only in how broker
-//! output reaches a peer broker — an in-process channel vs. a loopback
-//! TCP link. Everything else lives here: the per-broker event loop with
-//! its timer heap, the client attachment model (clients are in-process
-//! and talk to their local broker over a channel, the moral equivalent
-//! of the prototype's IPC sockets), and the event type flowing into a
+//! A [`LiveSession<W>`] hosts one thread per broker. The wire `W` is
+//! either [`Channels`](crate::threads::Channels) (in-process channels)
+//! or [`Tcp`](crate::tcp::Tcp) (loopback sockets driven by the reactor),
+//! and it owns the only two things that differ between them:
+//! session-level set-up (TCP binds every listener before any broker
+//! starts) and the per-rank peer link plus the loop that drives it.
+//! Everything else lives here: the builder, the per-broker host with its
+//! timer heap, the client attachment model (clients are in-process and
+//! talk to their local broker over a channel, the moral equivalent of
+//! the prototype's IPC sockets), and the event type flowing into a
 //! broker thread.
 
-use crate::faults::LinkFaults;
-use flux_broker::{Broker, ClientId, Input, Output};
-use flux_wire::{Message, MsgType, Plane, Rank};
+use crate::faults::{FaultPlan, LinkFaults};
+use crate::sim::plane_of;
+use flux_broker::{Broker, BrokerConfig, ClientId, CommsModule, Input, Output};
+use flux_wire::{Message, Plane, Rank};
 use std::collections::BinaryHeap;
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
+use std::marker::PhantomData;
+use std::net::SocketAddr;
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// What flows into a broker thread.
-pub(crate) enum Event {
+pub enum Event {
     /// A message from a peer broker.
     FromBroker {
         /// Sending rank.
@@ -34,16 +41,6 @@ pub(crate) enum Event {
     },
     /// Stop the broker thread.
     Shutdown,
-}
-
-/// Infers the plane a message travelled on from its shape: events use
-/// the event plane, rank-addressed messages the ring, the rest the tree.
-pub(crate) fn plane_of(msg: &Message) -> Plane {
-    match msg.header.msg_type {
-        MsgType::Event => Plane::Event,
-        _ if msg.header.dst.is_some() => Plane::Ring,
-        _ => Plane::Tree,
-    }
 }
 
 /// A client connection to a broker in a live session.
@@ -79,30 +76,24 @@ impl LiveClient {
     }
 }
 
-/// How a broker host delivers a message to a peer broker. The one point
-/// where live transports differ.
-pub(crate) trait PeerSender {
+/// How a broker host delivers a message to a peer broker: the per-rank
+/// half of a [`Wire`].
+pub trait PeerSender {
     /// Delivers `msg` to the broker at `to`. `plane` is the plane the
-    /// message travels on: transports that pool several links per peer
-    /// (the reactor) pin the event plane to one link to preserve its
-    /// per-link FIFO contract.
+    /// message travels on: the reactor keeps the event plane on its own
+    /// link per peer to preserve its per-link FIFO contract.
     fn send_to(&mut self, to: Rank, plane: Plane, msg: Message);
 
-    /// Delivers a broker→client message to a transport-owned client
-    /// connection (e.g. a reactor socket client). Returns `false` if the
-    /// transport does not own `client`; channel-attached clients are
-    /// handled by the host itself before this hook is consulted.
-    fn deliver_client(&mut self, _client: ClientId, _msg: Message) -> bool {
-        false
-    }
-
-    /// Called once when the host's event loop exits, before the thread
-    /// terminates (e.g. to flush or close links).
-    fn close(&mut self) {}
+    /// Delivers a broker→client message to a wire-owned client
+    /// connection (a reactor socket client); channel-attached clients are
+    /// handled by the host itself before this hook is consulted. A
+    /// message for a client the wire does not know is dropped.
+    fn deliver_client(&mut self, _client: ClientId, _msg: Message) {}
 }
 
-/// In-process peer delivery over channels (the threads transport).
-pub(crate) struct ChannelPeers {
+/// In-process peer delivery over channels (the [`Channels`](crate::threads::Channels)
+/// wire): every peer's command channel.
+pub struct ChannelPeers {
     pub(crate) rank: Rank,
     pub(crate) peers: Vec<Sender<Event>>,
 }
@@ -116,7 +107,7 @@ impl PeerSender for ChannelPeers {
 /// A fault-delayed outbound message awaiting release. Ordered by
 /// `(at, seq)` so the host's `BinaryHeap` acts as a min-heap with FIFO
 /// tie-breaking.
-pub(crate) struct Delayed {
+struct Delayed {
     at: Instant,
     seq: u64,
     to: Rank,
@@ -142,25 +133,24 @@ impl Ord for Delayed {
     }
 }
 
-/// The per-thread broker event loop: services due timers from a local
-/// heap, otherwise sleeps in `recv_timeout` until traffic arrives, so a
-/// broker thread is quiet when the session is quiet (the low-noise
-/// design goal).
+/// One broker thread's state: the sans-io broker, its command channel,
+/// the wire's peer link, and a local timer heap. The wire's loop
+/// ([`sealed::Link::run`]) drives it through the `pub(crate)` steps below.
 ///
 /// With `faults` set, every outbound broker message consults the link's
 /// fault stream (drop/dup/delay), inbound traffic is discarded while
 /// this rank is inside a blackout window, and delayed copies sit in
 /// `delayed` until their release time.
-pub(crate) struct BrokerHost<P: PeerSender> {
-    pub(crate) broker: Broker,
+pub struct BrokerHost<P: PeerSender> {
+    broker: Broker,
     pub(crate) rx: Receiver<Event>,
     pub(crate) peers: P,
-    pub(crate) clients: Vec<Sender<Message>>,
-    pub(crate) epoch: Instant,
-    pub(crate) timers: BinaryHeap<std::cmp::Reverse<(Instant, u64)>>,
-    pub(crate) faults: Option<LinkFaults>,
-    pub(crate) delayed: BinaryHeap<Delayed>,
-    pub(crate) delay_seq: u64,
+    clients: Vec<Sender<Message>>,
+    epoch: Instant,
+    timers: BinaryHeap<std::cmp::Reverse<(Instant, u64)>>,
+    faults: Option<LinkFaults>,
+    delayed: BinaryHeap<Delayed>,
+    delay_seq: u64,
 }
 
 impl<P: PeerSender> BrokerHost<P> {
@@ -297,31 +287,164 @@ impl<P: PeerSender> BrokerHost<P> {
         }
         true
     }
+}
 
-    /// The channel-only event loop (threads transport): services due
-    /// timers and releases, otherwise sleeps in `recv_timeout` until
-    /// traffic arrives. The reactor drives the same steps from its own
-    /// loop (see [`crate::reactor`]), interleaving socket readiness.
-    pub(crate) fn run(mut self) {
-        self.start_broker();
-        loop {
-            self.service_timers();
-            self.release_delayed();
-            // Sleep until traffic, the next timer, or the next release.
-            let timeout = self
-                .next_deadline()
-                .map(|at| at.saturating_duration_since(Instant::now()))
-                .unwrap_or(Duration::from_millis(250));
-            match self.rx.recv_timeout(timeout) {
-                Err(RecvTimeoutError::Disconnected) => break,
-                Err(RecvTimeoutError::Timeout) => continue,
-                Ok(ev) => {
-                    if !self.handle_event(ev) {
-                        break;
-                    }
-                }
-            }
+/// The wire a [`LiveSession`] runs on: [`Channels`](crate::threads::Channels)
+/// or [`Tcp`](crate::tcp::Tcp). Sealed — what a wire supplies is
+/// crate-internal. (The types it names are `pub` inside this
+/// crate-private module only so the sealed trait may mention them.)
+pub trait Wire: sealed::Link {
+    /// Short name ("threads", "tcp").
+    const NAME: &'static str;
+}
+
+pub(crate) mod sealed {
+    use super::{BrokerHost, Event, PeerSender};
+    use std::net::SocketAddr;
+    use std::sync::mpsc::Sender;
+
+    /// What a wire supplies to the shared session code.
+    pub trait Link: Send + Sync + 'static {
+        /// The per-rank peer link a broker host routes through.
+        type Peers: PeerSender + Send + 'static;
+        /// Session-level set-up, before any broker starts: one peer link
+        /// per rank, plus each rank's listener address (empty when the
+        /// wire has none). `senders` are the brokers' command channels;
+        /// `channel_clients[r]` counts rank `r`'s channel-attached
+        /// clients.
+        fn links(
+            senders: &[Sender<Event>],
+            channel_clients: &[usize],
+        ) -> (Vec<SocketAddr>, Vec<Self::Peers>);
+        /// The broker thread's event loop.
+        fn run(host: BrokerHost<Self::Peers>);
+    }
+}
+
+/// A comms session of live brokers, one thread each: call
+/// [`LiveSession::builder`], attach clients, then
+/// [`LiveSessionBuilder::start`].
+pub struct LiveSession<W: Wire> {
+    pub(crate) addrs: Vec<SocketAddr>,
+    senders: Vec<Sender<Event>>,
+    handles: Vec<JoinHandle<()>>,
+    wire: PhantomData<W>,
+}
+
+/// Builder collecting brokers and client attachments before the session
+/// goes live.
+pub struct LiveSessionBuilder<W: Wire> {
+    configs: Vec<BrokerConfig>,
+    modules: Vec<Vec<Box<dyn CommsModule>>>,
+    senders: Vec<Sender<Event>>,
+    receivers: Vec<Receiver<Event>>,
+    clients: Vec<Vec<Sender<Message>>>,
+    faults: Option<FaultPlan>,
+    wire: PhantomData<W>,
+}
+
+impl<W: Wire> LiveSession<W> {
+    /// Starts building a session of `size` brokers with tree `arity`;
+    /// `factory` produces each rank's modules.
+    pub fn builder<F>(size: u32, arity: u32, factory: F) -> LiveSessionBuilder<W>
+    where
+        F: Fn(Rank) -> Vec<Box<dyn CommsModule>>,
+    {
+        let (senders, receivers) = (0..size).map(|_| channel()).unzip();
+        LiveSessionBuilder {
+            configs: (0..size)
+                .map(|r| BrokerConfig::new(Rank(r), size).with_arity(arity))
+                .collect(),
+            modules: (0..size).map(|r| factory(Rank(r))).collect(),
+            senders,
+            receivers,
+            clients: (0..size).map(|_| Vec::new()).collect(),
+            faults: None,
+            wire: PhantomData,
         }
-        self.peers.close();
+    }
+
+    /// Session size in brokers.
+    pub fn size(&self) -> u32 {
+        self.senders.len() as u32
+    }
+
+    /// Stops every broker thread and joins it. Each broker drains its
+    /// channel up to `Shutdown`; on TCP it then flushes what it can
+    /// without blocking and closes its sockets (socket clients observe
+    /// EOF).
+    pub fn shutdown(self) {
+        for tx in &self.senders {
+            let _ = tx.send(Event::Shutdown);
+        }
+        for h in self.handles {
+            // flux-lint: allow(block) — ordered teardown: every broker
+            // was just sent Shutdown, so each join only waits for its
+            // thread to drain and exit.
+            let _ = h.join();
+        }
+    }
+}
+
+impl<W: Wire> LiveSessionBuilder<W> {
+    /// Overrides one rank's broker config (e.g. a faster heartbeat).
+    pub fn set_config(&mut self, rank: Rank, config: BrokerConfig) -> &mut Self {
+        self.configs[rank.index()] = config;
+        self
+    }
+
+    /// Applies a fault-injection plan to every broker's links.
+    pub fn set_faults(&mut self, plan: &FaultPlan) -> &mut Self {
+        self.faults = Some(plan.clone()).filter(|p| !p.is_empty());
+        self
+    }
+
+    /// Attaches an in-process channel client to `rank`'s broker,
+    /// returning its handle. On TCP, socket clients instead connect to
+    /// the session's `addrs()` after start and are assigned ids above
+    /// the channel-attached range.
+    pub fn attach_client(&mut self, rank: Rank) -> LiveClient {
+        let (tx, rx) = channel();
+        let client_id = self.clients[rank.index()].len() as ClientId;
+        self.clients[rank.index()].push(tx);
+        LiveClient { rank, client_id, tx: self.senders[rank.index()].clone(), rx }
+    }
+
+    /// Sets up the wire, then launches one thread per broker. The session
+    /// epoch (t = 0) is shared.
+    ///
+    /// # Panics
+    /// Panics if the wire cannot be set up (e.g. a loopback listener
+    /// cannot be bound) or a thread cannot be spawned.
+    pub fn start(self) -> LiveSession<W> {
+        let channel_clients: Vec<usize> = self.clients.iter().map(Vec::len).collect();
+        let (addrs, links) = W::links(&self.senders, &channel_clients);
+        let epoch = Instant::now();
+        let ranks = self.configs.into_iter().zip(self.modules).zip(self.receivers);
+        let handles = ranks
+            .zip(links.into_iter().zip(self.clients))
+            .enumerate()
+            .map(|(idx, (((config, modules), rx), (peers, clients)))| {
+                let host = BrokerHost {
+                    broker: Broker::new(config, modules),
+                    rx,
+                    peers,
+                    clients,
+                    epoch,
+                    timers: BinaryHeap::new(),
+                    faults: self.faults.as_ref().map(|p| p.for_sender(Rank::from(idx))),
+                    delayed: BinaryHeap::new(),
+                    delay_seq: 0,
+                };
+                std::thread::Builder::new()
+                    .name(format!("flux-broker-{idx}"))
+                    .spawn(move || W::run(host))
+                    // flux-lint: allow(panic) — setup-time thread spawn;
+                    // a session that cannot start has nothing to degrade
+                    // to, and the documented `# Panics` contract covers it.
+                    .expect("spawn broker thread")
+            })
+            .collect();
+        LiveSession { addrs, senders: self.senders, handles, wire: PhantomData }
     }
 }

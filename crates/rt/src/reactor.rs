@@ -30,18 +30,19 @@
 //! before any frames, so their [`flux_broker::client::ClientCore`] mints
 //! collision-free request ids.
 //!
-//! *Outbound* broker→broker traffic rides a small pool of connections
-//! per destination ([`crate::tcp::TcpConfig::pool_size`]): the event
-//! plane is pinned to slot 0 — its seq-dedup requires per-link FIFO —
-//! while tree/ring traffic round-robins the remaining slots, so bulk
+//! *Outbound* broker→broker traffic rides two connections per
+//! destination: the event plane has its own — its seq-dedup requires
+//! per-link FIFO — and tree/ring traffic shares the other, so bulk
 //! frames cannot head-of-line-block liveness events. Writes buffer in a
 //! per-connection out-queue flushed to `WouldBlock` each pass; connects
 //! and reconnects follow the nonblocking
 //! [`crate::tcp::RetrySchedule`] (jittered exponential backoff, never a
 //! sleep).
 
-use crate::live::{BrokerHost, Event};
-use crate::tcp::{RetrySchedule, TcpConfig, CLIENT_HELLO};
+use crate::live::{BrokerHost, Event, PeerSender};
+use crate::tcp::{
+    RetrySchedule, CLIENT_HELLO, CONNECT_TIMEOUT, HANDSHAKE_TIMEOUT, MAX_OUTBUF, RETRY,
+};
 use flux_broker::ClientId;
 use flux_core::rng::Rng;
 use flux_wire::frame::{self, FrameDecoder};
@@ -151,7 +152,7 @@ impl Conn {
     }
 }
 
-/// One slot of an outbound pool: a lazily-(re)connected nonblocking
+/// One outbound link: a lazily-(re)connected nonblocking
 /// stream with its write queue and retry schedule. The 4 handshake bytes
 /// are staged separately so they always precede queued frames on a fresh
 /// connection.
@@ -185,28 +186,26 @@ impl Uplink {
         self.sent = 0;
     }
 
-    fn try_connect(&mut self, addr: SocketAddr, config: &TcpConfig, jitter: &mut Rng) {
+    fn try_connect(&mut self, addr: SocketAddr, jitter: &mut Rng) {
         if self.stream.is_some() || !self.retry.due(Instant::now()) {
             return;
         }
-        // `connect_timeout` is bounded by the configured per-attempt
-        // deadline; on loopback it resolves immediately either way.
-        match TcpStream::connect_timeout(&addr, config.connect_timeout) {
+        match TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT) {
             Ok(stream) => {
                 if stream.set_nodelay(true).is_err() || stream.set_nonblocking(true).is_err() {
-                    self.record_failure(config, jitter);
+                    self.record_failure(jitter);
                     return;
                 }
                 self.stream = Some(stream);
                 self.hs_left = 4;
                 self.retry.succeeded();
             }
-            Err(_) => self.record_failure(config, jitter),
+            Err(_) => self.record_failure(jitter),
         }
     }
 
-    fn record_failure(&mut self, config: &TcpConfig, jitter: &mut Rng) {
-        if !self.retry.failed(Instant::now(), config, jitter) {
+    fn record_failure(&mut self, jitter: &mut Rng) {
+        if !self.retry.failed(Instant::now(), &RETRY, jitter) {
             // Burst budget spent: this peer is gone for now. Queued
             // frames are dropped — the liveness layer repairs overlay
             // routes, the transport does not queue forever.
@@ -249,19 +248,23 @@ impl Uplink {
     }
 }
 
+/// The two outbound links to one destination: the event plane on its
+/// own (per-link FIFO), tree and ring traffic on the other.
+struct PeerLinks {
+    event: Uplink,
+    bulk: Uplink,
+}
+
 /// All sockets of one broker: the listener, accepted connections
-/// (broker links and socket clients), and the per-destination outbound
-/// pools. Implements [`crate::live::PeerSender`] so the shared
-/// [`BrokerHost`] routes outputs through it.
-pub(crate) struct ReactorPeers {
+/// (broker links and socket clients), and the outbound links to every
+/// destination. Implements [`PeerSender`] so the shared [`BrokerHost`]
+/// routes outputs through it.
+pub struct ReactorPeers {
     size: u32,
     addrs: Vec<SocketAddr>,
     listener: TcpListener,
-    config: TcpConfig,
-    /// `uplinks[to] = pool` for each destination rank.
-    uplinks: Vec<Vec<Uplink>>,
-    /// Round-robin cursor over the bulk (non-event) pool slots.
-    next_bulk: usize,
+    /// `uplinks[to]` for each destination rank.
+    uplinks: Vec<PeerLinks>,
     /// Accepted-connection slab; `None` slots are free.
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
@@ -282,12 +285,10 @@ impl ReactorPeers {
         rank: Rank,
         addrs: Vec<SocketAddr>,
         listener: TcpListener,
-        config: TcpConfig,
         first_socket_client: ClientId,
     ) -> io::Result<ReactorPeers> {
         listener.set_nonblocking(true)?;
         let size = addrs.len() as u32;
-        let pool = config.pool_size.max(1);
         let clock_seed = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.subsec_nanos() as u64)
@@ -296,9 +297,9 @@ impl ReactorPeers {
             size,
             addrs,
             listener,
-            config,
-            uplinks: (0..size).map(|_| (0..pool).map(|_| Uplink::new(rank)).collect()).collect(),
-            next_bulk: 0,
+            uplinks: (0..size)
+                .map(|_| PeerLinks { event: Uplink::new(rank), bulk: Uplink::new(rank) })
+                .collect(),
             conns: Vec::new(),
             free: Vec::new(),
             client_conn: HashMap::new(),
@@ -309,29 +310,22 @@ impl ReactorPeers {
         })
     }
 
-    /// Queues `msg` on the pool slot for `(to, plane)`. Event-plane
-    /// traffic is pinned to slot 0 (per-link FIFO); everything else
-    /// round-robins the remaining slots.
+    /// Queues `msg` on the link to `to` for `plane`: event-plane traffic
+    /// on the event link (per-link FIFO), everything else on the bulk
+    /// link.
     fn queue_to(&mut self, to: Rank, plane: Plane, msg: &Message) {
-        let pool_len = self.uplinks[to.index()].len();
-        let slot = if pool_len == 1 || matches!(plane, Plane::Event) {
-            0
-        } else {
-            self.next_bulk = self.next_bulk.wrapping_add(1);
-            1 + self.next_bulk % (pool_len - 1)
-        };
-        let link = &mut self.uplinks[to.index()][slot];
+        let links = &mut self.uplinks[to.index()];
+        let link = if matches!(plane, Plane::Event) { &mut links.event } else { &mut links.bulk };
         if link.stream.is_none() {
-            let addr = self.addrs[to.index()];
-            link.try_connect(addr, &self.config, &mut self.jitter);
+            link.try_connect(self.addrs[to.index()], &mut self.jitter);
             if link.stream.is_none() {
                 return; // unreachable right now: dropped, liveness repairs
             }
         }
-        if link.out.len() - link.sent > self.config.max_outbuf {
+        if link.out.len() - link.sent > MAX_OUTBUF {
             return; // backpressure: peer too far behind, drop the frame
         }
-        let _ = frame::write_frame_into(&mut link.out, msg, self.config.max_frame, &mut self.scratch);
+        let _ = frame::write_frame_into(&mut link.out, msg, frame::MAX_FRAME, &mut self.scratch);
         let _ = link.flush();
     }
 
@@ -347,15 +341,13 @@ impl ReactorPeers {
         progress
     }
 
-    /// Reconnects pools whose retry came due and flushes pending bytes.
+    /// Reconnects links whose retry came due and flushes pending bytes.
     fn service_uplinks(&mut self) -> bool {
         let mut progress = false;
-        for to in 0..self.uplinks.len() {
-            let addr = self.addrs[to];
-            for slot in 0..self.uplinks[to].len() {
-                let link = &mut self.uplinks[to][slot];
+        for (links, &addr) in self.uplinks.iter_mut().zip(&self.addrs) {
+            for link in [&mut links.event, &mut links.bulk] {
                 if link.stream.is_none() && !link.out.is_empty() {
-                    link.try_connect(addr, &self.config, &mut self.jitter);
+                    link.try_connect(addr, &mut self.jitter);
                 }
                 if link.stream.is_some() && (link.hs_left > 0 || link.out.len() > link.sent) {
                     progress |= link.flush();
@@ -426,7 +418,7 @@ impl ReactorPeers {
         // A half-open peer that never finishes identifying itself is
         // dropped at the handshake deadline.
         if matches!(conn.state, ConnState::Handshake { .. })
-            && conn.opened.elapsed() > self.config.handshake_timeout
+            && conn.opened.elapsed() > HANDSHAKE_TIMEOUT
         {
             conn.dead = true;
             return false;
@@ -476,7 +468,7 @@ impl ReactorPeers {
                 conn.decoder.feed(bytes);
             }
             loop {
-                match conn.decoder.next_message(self.config.max_frame) {
+                match conn.decoder.next_message(frame::MAX_FRAME) {
                     Ok(Some(msg)) => match conn.state {
                         ConnState::Broker(from) => batch.push(Event::FromBroker { from, msg }),
                         ConnState::Client(client) => {
@@ -526,8 +518,8 @@ impl ReactorPeers {
 
     /// Closes every socket (best-effort final flush first).
     pub(crate) fn close_all(&mut self) {
-        for pool in &mut self.uplinks {
-            for link in pool {
+        for links in &mut self.uplinks {
+            for link in [&mut links.event, &mut links.bulk] {
                 link.flush();
                 if let Some(stream) = link.stream.take() {
                     let _ = stream.shutdown(std::net::Shutdown::Both);
@@ -543,28 +535,20 @@ impl ReactorPeers {
     }
 }
 
-impl crate::live::PeerSender for ReactorPeers {
+impl PeerSender for ReactorPeers {
     fn send_to(&mut self, to: Rank, plane: Plane, msg: Message) {
         self.queue_to(to, plane, &msg);
     }
 
-    fn deliver_client(&mut self, client: ClientId, msg: Message) -> bool {
-        let Some(&slot) = self.client_conn.get(&client) else {
-            // Disconnected (or never existed): the reply has nowhere to
-            // go. Report handled so the host does not retry.
-            return true;
-        };
+    fn deliver_client(&mut self, client: ClientId, msg: Message) {
+        // A disconnected (or never-known) client's reply has nowhere to go.
+        let Some(&slot) = self.client_conn.get(&client) else { return };
         if let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) {
-            if conn.out.len() - conn.sent <= self.config.max_outbuf {
+            if conn.out.len() - conn.sent <= MAX_OUTBUF {
                 let _ =
-                    frame::write_frame_into(&mut conn.out, &msg, self.config.max_frame, &mut self.scratch);
+                    frame::write_frame_into(&mut conn.out, &msg, frame::MAX_FRAME, &mut self.scratch);
             }
         }
-        true
-    }
-
-    fn close(&mut self) {
-        self.close_all();
     }
 }
 

@@ -85,8 +85,8 @@ impl AddressBook {
 /// Infers the plane a message travelled on from its shape: events use the
 /// event plane, rank-addressed requests/responses the ring, the rest the
 /// tree. (The sans-io broker only branches on message type and direction,
-/// so this reconstruction is exact.)
-fn plane_of(msg: &Message) -> Plane {
+/// so this reconstruction is exact.) The live runtime shares it.
+pub(crate) fn plane_of(msg: &Message) -> Plane {
     match msg.header.msg_type {
         MsgType::Event => Plane::Event,
         _ if msg.header.dst.is_some() => Plane::Ring,

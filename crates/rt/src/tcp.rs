@@ -7,42 +7,41 @@
 //! reactor discovers readiness by level-triggered scanning and parks in
 //! the broker's command channel when idle. There are no acceptor or
 //! reader threads — a 1024-broker session costs 1024 threads, not
-//! `O(links)`.
+//! `O(links)`. The session and builder are shared with the channel wire
+//! (see [`crate::live`]); this module supplies the [`Tcp`] wire.
 //!
 //! Wire-up: every rank binds a listener on `127.0.0.1:0` *before* any
 //! broker starts, so the full address map is known up front — the moral
 //! equivalent of the paper's PMI exchange of broker endpoints. Outbound
-//! broker→broker traffic rides a small per-destination pool of
-//! connections ([`TcpConfig::pool_size`]) established lazily on first
-//! send; connects never block the reactor — a refused connect is
-//! rescheduled by [`RetrySchedule`] with jittered exponential backoff.
+//! broker→broker traffic rides two connections per destination — one
+//! for the event plane, one for everything else — established lazily on
+//! first send; connects never block the reactor — a refused connect is
+//! rescheduled by a `RetrySchedule` with jittered exponential backoff.
 //! Each direction of a broker pair is its own connection; a link opens
 //! with a 4-byte little-endian rank handshake so the accepting side can
 //! attribute inbound frames.
 //!
 //! Clients come in two flavors: in-process channel attachments
-//! ([`TcpSessionBuilder::attach_client`], the prototype's local IPC
-//! sockets), and *socket clients* — any process that connects to a
-//! broker's listener, sends the [`CLIENT_HELLO`] sentinel, reads back
-//! its assigned client id, and then speaks length-prefixed
-//! [`flux_wire::frame`]s. Socket clients may pipeline arbitrarily many
-//! requests on one stream; replies are matched by `MsgId` (see
-//! [`flux_broker::client::ClientCore`]).
+//! ([`LiveSessionBuilder::attach_client`](crate::live::LiveSessionBuilder::attach_client),
+//! the prototype's local IPC sockets), and *socket clients* — any
+//! process that connects to a broker's listener, sends the
+//! [`CLIENT_HELLO`] sentinel, reads back its assigned client id, and
+//! then speaks length-prefixed [`flux_wire::frame`]s. Socket clients may
+//! pipeline arbitrarily many requests on one stream; replies are matched
+//! by `MsgId` (see [`flux_broker::client::ClientCore`]).
 //!
 //! Shutdown is ordered: each broker drains its channel, gets `Shutdown`,
 //! flushes what it can without blocking, closes every socket, and its
 //! reactor thread is joined before `shutdown()` returns.
 
-use crate::faults::FaultPlan;
-use crate::live::{BrokerHost, Event, LiveClient};
+use crate::live::{sealed::Link, BrokerHost, Event, LiveSession, Wire};
 use crate::reactor::{run_reactor, ReactorPeers};
-use flux_broker::{Broker, BrokerConfig, ClientId, CommsModule};
+use flux_broker::ClientId;
 use flux_core::rng::Rng;
-use flux_wire::{frame, Message, Rank};
-use std::collections::BinaryHeap;
+use flux_wire::Rank;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::Sender;
 use std::time::{Duration, Instant};
 
 /// Handshake sentinel a socket client sends instead of a broker rank
@@ -52,52 +51,43 @@ use std::time::{Duration, Instant};
 /// sentinel cannot collide.
 pub const CLIENT_HELLO: u32 = u32::MAX;
 
-/// Tuning for TCP links.
-#[derive(Clone, Debug)]
-pub struct TcpConfig {
-    /// Per-attempt connect timeout.
-    pub connect_timeout: Duration,
-    /// Connect attempts per link burst before giving up (≥ 1).
-    pub max_connect_attempts: u32,
-    /// Backoff before the second connect attempt; doubles per attempt.
-    pub initial_backoff: Duration,
+/// Per-attempt connect timeout. A loopback connect resolves at once
+/// either way; the bound only caps a stall on a wedged listener.
+pub(crate) const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Deadline for an accepted connection to complete its 4-byte handshake,
+/// so a connector that never identifies itself cannot hold a slot.
+pub(crate) const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Per-connection outbound buffer cap, bytes: four maximum-size frames
+/// ([`flux_wire::frame::MAX_FRAME`]). A peer this far behind gets new
+/// frames dropped (frame-aligned) rather than buffered without bound.
+pub(crate) const MAX_OUTBUF: usize = 64 * 1024 * 1024;
+
+/// The budget of one burst of connect attempts.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct RetryPolicy {
+    /// Attempts per burst before giving up (≥ 1).
+    max_attempts: u32,
+    /// Backoff before the second attempt; doubles per attempt.
+    initial_backoff: Duration,
     /// Ceiling on the per-attempt backoff (also the cool-down after a
     /// burst's budget is spent).
-    pub max_backoff: Duration,
-    /// Total time budget across one burst of connect attempts: once
-    /// exceeded the link gives up, drops its queue, and cools down.
-    pub retry_deadline: Duration,
-    /// Deadline for an accepted connection to complete its 4-byte
-    /// handshake (guards against a connector that never identifies
-    /// itself).
-    pub handshake_timeout: Duration,
-    /// Size cap on a single frame, bytes (see [`frame::MAX_FRAME`]).
-    pub max_frame: usize,
-    /// Outbound connections per peer broker. The event plane is pinned
-    /// to slot 0 (it needs per-link FIFO); tree/ring traffic
-    /// round-robins the remaining slots.
-    pub pool_size: usize,
-    /// Per-connection outbound buffer cap, bytes. A peer this far
-    /// behind gets new frames dropped (frame-aligned) rather than
-    /// buffering without bound.
-    pub max_outbuf: usize,
+    max_backoff: Duration,
+    /// Wall-clock budget of one burst: once exceeded the link gives up,
+    /// drops its queue, and cools down.
+    deadline: Duration,
 }
 
-impl Default for TcpConfig {
-    fn default() -> Self {
-        TcpConfig {
-            connect_timeout: Duration::from_secs(5),
-            max_connect_attempts: 6,
-            initial_backoff: Duration::from_millis(20),
-            max_backoff: Duration::from_secs(1),
-            retry_deadline: Duration::from_secs(15),
-            handshake_timeout: Duration::from_secs(5),
-            max_frame: frame::MAX_FRAME,
-            pool_size: 2,
-            max_outbuf: 64 * 1024 * 1024,
-        }
-    }
-}
+/// The retry policy of every outbound link: a refused connect is retried
+/// within tens of milliseconds, and a dead peer costs at most six
+/// attempts per burst, then a 1 s cool-down, rather than a retry storm.
+pub(crate) const RETRY: RetryPolicy = RetryPolicy {
+    max_attempts: 6,
+    initial_backoff: Duration::from_millis(20),
+    max_backoff: Duration::from_secs(1),
+    deadline: Duration::from_secs(15),
+};
 
 /// Nonblocking connect-retry state for one outbound link: when the next
 /// attempt is allowed, how the backoff grows, and when a burst's budget
@@ -107,7 +97,7 @@ impl Default for TcpConfig {
 /// uniform in `[backoff/2, backoff]` so a session's worth of brokers
 /// retrying the same slow peer don't synchronize into connect storms.
 #[derive(Clone, Debug, Default)]
-pub struct RetrySchedule {
+pub(crate) struct RetrySchedule {
     attempts: u32,
     backoff: Duration,
     window_start: Option<Instant>,
@@ -116,45 +106,44 @@ pub struct RetrySchedule {
 
 impl RetrySchedule {
     /// A fresh schedule: the first attempt is due immediately.
-    pub fn new() -> RetrySchedule {
+    pub(crate) fn new() -> RetrySchedule {
         RetrySchedule::default()
     }
 
     /// Whether an attempt is allowed at `now`.
-    pub fn due(&self, now: Instant) -> bool {
+    pub(crate) fn due(&self, now: Instant) -> bool {
         self.next_at.is_none_or(|at| now >= at)
     }
 
     /// Records a successful connect: the schedule resets fully.
-    pub fn succeeded(&mut self) {
+    pub(crate) fn succeeded(&mut self) {
         *self = RetrySchedule::new();
     }
 
     /// Records a failed attempt at `now`. Returns `true` if the burst
     /// may continue (a later attempt is scheduled), `false` when the
-    /// budget — `max_connect_attempts` or `retry_deadline`, whichever
-    /// trips first — is spent: the caller should drop queued traffic and
-    /// the schedule enters a `max_backoff` cool-down before the next
-    /// burst.
-    pub fn failed(&mut self, now: Instant, config: &TcpConfig, jitter: &mut Rng) -> bool {
+    /// budget — `max_attempts` or `deadline`, whichever trips first — is
+    /// spent: the caller should drop queued traffic and the schedule
+    /// enters a `max_backoff` cool-down before the next burst.
+    pub(crate) fn failed(&mut self, now: Instant, policy: &RetryPolicy, jitter: &mut Rng) -> bool {
         self.attempts += 1;
         let window = *self.window_start.get_or_insert(now);
-        let spent = self.attempts >= config.max_connect_attempts.max(1)
-            || now.duration_since(window) >= config.retry_deadline;
+        let spent = self.attempts >= policy.max_attempts.max(1)
+            || now.duration_since(window) >= policy.deadline;
         if spent {
             self.attempts = 0;
             self.backoff = Duration::ZERO;
             self.window_start = None;
-            self.next_at = Some(now + config.max_backoff);
+            self.next_at = Some(now + policy.max_backoff);
             return false;
         }
         if self.backoff.is_zero() {
-            self.backoff = config.initial_backoff;
+            self.backoff = policy.initial_backoff;
         }
         let base = self.backoff.as_nanos() as u64;
         let wait = Duration::from_nanos(base / 2 + jitter.gen_range(0..=base.div_ceil(2)));
         self.next_at = Some(now + wait);
-        self.backoff = (self.backoff * 2).min(config.max_backoff);
+        self.backoff = (self.backoff * 2).min(policy.max_backoff);
         true
     }
 }
@@ -183,179 +172,62 @@ pub fn connect_socket_client(
     Ok((stream, ClientId::from_le_bytes(raw)))
 }
 
-/// A client connection to a broker in a [`TcpSession`].
-pub type TcpClient = LiveClient;
+/// The loopback TCP wire: one reactor thread per broker drives all of
+/// that broker's sockets (see [`crate::reactor`]).
+#[derive(Clone, Copy, Debug)]
+pub enum Tcp {}
 
-/// A comms session whose brokers are wired over loopback TCP: call
-/// [`TcpSession::builder`], attach clients, then
-/// [`TcpSessionBuilder::start`]. One reactor thread per broker drives
-/// all of that broker's sockets (see [`crate::reactor`]).
-pub struct TcpSession {
-    size: u32,
-    addrs: Vec<SocketAddr>,
-    senders: Vec<Sender<Event>>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-/// Builder collecting brokers and client attachments before the session
-/// goes live.
-pub struct TcpSessionBuilder {
-    config: TcpConfig,
-    configs: Vec<BrokerConfig>,
-    modules: Vec<Vec<Box<dyn CommsModule>>>,
-    senders: Vec<Sender<Event>>,
-    receivers: Vec<Option<Receiver<Event>>>,
-    clients: Vec<Vec<Sender<Message>>>,
-    faults: Option<FaultPlan>,
-}
+/// A comms session whose brokers are wired over loopback TCP.
+pub type TcpSession = LiveSession<Tcp>;
 
 impl TcpSession {
-    /// Starts building a session of `size` brokers with tree `arity`;
-    /// `factory` produces each rank's modules.
-    pub fn builder<F>(size: u32, arity: u32, factory: F) -> TcpSessionBuilder
-    where
-        F: Fn(Rank) -> Vec<Box<dyn CommsModule>>,
-    {
-        let mut b = TcpSessionBuilder {
-            config: TcpConfig::default(),
-            configs: Vec::new(),
-            modules: Vec::new(),
-            senders: Vec::new(),
-            receivers: Vec::new(),
-            clients: Vec::new(),
-            faults: None,
-        };
-        for r in 0..size {
-            let rank = Rank(r);
-            let (tx, rx) = channel();
-            b.configs.push(BrokerConfig::new(rank, size).with_arity(arity));
-            b.modules.push(factory(rank));
-            b.senders.push(tx);
-            b.receivers.push(Some(rx));
-            b.clients.push(Vec::new());
-        }
-        b
-    }
-
-    /// Session size in brokers.
-    pub fn size(&self) -> u32 {
-        self.size
-    }
-
     /// The loopback address each rank's broker listens on. Socket
     /// clients connect here (see [`connect_socket_client`]).
     pub fn addrs(&self) -> &[SocketAddr] {
         &self.addrs
     }
-
-    /// Stops every reactor thread and joins it. Each reactor flushes
-    /// what it can without blocking and closes its sockets on the way
-    /// out; socket clients observe EOF.
-    pub fn shutdown(self) {
-        for tx in &self.senders {
-            let _ = tx.send(Event::Shutdown);
-        }
-        for h in self.handles {
-            // flux-lint: allow(block) — ordered teardown: shutdown()
-            // consumes the session off the hot path and each joined
-            // reactor has already been told to exit.
-            let _ = h.join();
-        }
-    }
 }
 
-impl TcpSessionBuilder {
-    /// Overrides the link tuning (timeouts, retry, pooling, frame cap).
-    pub fn with_config(mut self, config: TcpConfig) -> Self {
-        self.config = config;
-        self
-    }
+impl Wire for Tcp {
+    const NAME: &'static str = "tcp";
+}
 
-    /// Overrides one rank's broker config (e.g. a faster heartbeat).
-    pub fn set_config(&mut self, rank: Rank, config: BrokerConfig) -> &mut Self {
-        self.configs[rank.index()] = config;
-        self
-    }
+impl Link for Tcp {
+    type Peers = ReactorPeers;
 
-    /// Applies a fault-injection plan to every broker's links.
-    pub fn set_faults(&mut self, plan: &FaultPlan) -> &mut Self {
-        self.faults = Some(plan.clone()).filter(|p| !p.is_empty());
-        self
-    }
-
-    /// Attaches an in-process channel client to `rank`'s broker,
-    /// returning its handle. Socket clients instead connect to the
-    /// session's [`addrs`](TcpSession::addrs) after start and are
-    /// assigned ids above the channel-attached range.
-    pub fn attach_client(&mut self, rank: Rank) -> TcpClient {
-        let (tx, rx) = channel();
-        let client_id = self.clients[rank.index()].len() as ClientId;
-        self.clients[rank.index()].push(tx);
-        LiveClient { rank, client_id, tx: self.senders[rank.index()].clone(), rx }
-    }
-
-    /// Binds every rank's listener, then launches one reactor thread per
-    /// broker. The session epoch (t = 0) is shared.
-    ///
-    /// # Panics
-    /// Panics if a loopback listener cannot be bound or a thread cannot
-    /// be spawned.
-    pub fn start(mut self) -> TcpSession {
-        let size = self.configs.len() as u32;
-        // Bind all listeners before any broker runs, so every rank's
-        // first outbound connect finds a live (if not yet accepting)
-        // socket: the kernel backlog absorbs early connects.
+    /// Binds every rank's listener before any broker runs, so every
+    /// rank's first outbound connect finds a live (if not yet accepting)
+    /// socket: the kernel backlog absorbs early connects.
+    fn links(
+        senders: &[Sender<Event>],
+        channel_clients: &[usize],
+    ) -> (Vec<SocketAddr>, Vec<ReactorPeers>) {
         // flux-lint: allow(panic) — session construction: without a bound
         // loopback listener per rank there is no session to run, and the
-        // documented `# Panics` contract covers it.
-        let listeners: Vec<TcpListener> = (0..size)
+        // documented `# Panics` contract of `start` covers it.
+        let listeners: Vec<TcpListener> = senders
+            .iter()
             .map(|_| TcpListener::bind("127.0.0.1:0").expect("bind loopback listener"))
             .collect();
         // flux-lint: allow(panic) — same setup-time contract as above.
         let addrs: Vec<SocketAddr> =
             listeners.iter().map(|l| l.local_addr().expect("listener addr")).collect();
+        let peers = listeners
+            .into_iter()
+            .zip(channel_clients)
+            .enumerate()
+            .map(|(idx, (listener, &attached))| {
+                ReactorPeers::new(Rank::from(idx), addrs.clone(), listener, attached as ClientId)
+                    // flux-lint: allow(panic) — setup-time socket
+                    // configuration, same contract as above.
+                    .expect("nonblocking listener")
+            })
+            .collect();
+        (addrs, peers)
+    }
 
-        let epoch = Instant::now();
-        let mut handles = Vec::new();
-        for (idx, listener) in listeners.into_iter().enumerate() {
-            let rank = Rank::from(idx);
-            let first_socket_client = self.clients[idx].len() as ClientId;
-            let peers = ReactorPeers::new(
-                rank,
-                addrs.clone(),
-                listener,
-                self.config.clone(),
-                first_socket_client,
-            )
-            // flux-lint: allow(panic) — setup-time socket configuration,
-            // covered by the documented `# Panics` contract.
-            .expect("nonblocking listener");
-            let host = BrokerHost {
-                broker: Broker::new(
-                    self.configs[idx].clone(),
-                    std::mem::take(&mut self.modules[idx]),
-                ),
-                // flux-lint: allow(panic) — each receiver is taken exactly
-                // once here; a second take is a builder bug.
-                rx: self.receivers[idx].take().expect("receiver present"),
-                peers,
-                clients: std::mem::take(&mut self.clients[idx]),
-                epoch,
-                timers: BinaryHeap::new(),
-                faults: self.faults.as_ref().map(|p| p.for_sender(rank)),
-                delayed: BinaryHeap::new(),
-                delay_seq: 0,
-            };
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("flux-reactor-{idx}"))
-                    .spawn(move || run_reactor(host))
-                    // flux-lint: allow(panic) — setup-time thread spawn,
-                    // covered by the documented `# Panics` contract.
-                    .expect("spawn reactor thread"),
-            );
-        }
-        TcpSession { size, addrs, senders: self.senders, handles }
+    fn run(host: BrokerHost<ReactorPeers>) {
+        run_reactor(host);
     }
 }
 
@@ -363,14 +235,12 @@ impl TcpSessionBuilder {
 mod tests {
     use super::*;
 
-    fn quick_config() -> TcpConfig {
-        TcpConfig {
-            connect_timeout: Duration::from_millis(500),
-            max_connect_attempts: 3,
+    fn quick_config() -> RetryPolicy {
+        RetryPolicy {
+            max_attempts: 3,
             initial_backoff: Duration::from_millis(10),
             max_backoff: Duration::from_millis(50),
-            retry_deadline: Duration::from_millis(400),
-            ..TcpConfig::default()
+            deadline: Duration::from_millis(400),
         }
     }
 
@@ -405,9 +275,9 @@ mod tests {
         let mut now = Instant::now();
         let mut waits = Vec::new();
         // Wide budget so we observe growth, not give-up.
-        let mut wide = config.clone();
-        wide.max_connect_attempts = 100;
-        wide.retry_deadline = Duration::from_secs(3600);
+        let mut wide = config;
+        wide.max_attempts = 100;
+        wide.deadline = Duration::from_secs(3600);
         for _ in 0..5 {
             assert!(s.failed(now, &wide, &mut jitter));
             let next = s.next_at.unwrap();
@@ -439,13 +309,13 @@ mod tests {
     #[test]
     fn deadline_budget_spends_the_burst_even_with_attempts_left() {
         let mut config = quick_config();
-        config.max_connect_attempts = u32::MAX;
+        config.max_attempts = u32::MAX;
         let mut jitter = Rng::seeded(7);
         let mut s = RetrySchedule::new();
         let t0 = Instant::now();
         assert!(s.failed(t0, &config, &mut jitter));
         // Next failure lands after the retry deadline: burst over.
-        assert!(!s.failed(t0 + config.retry_deadline, &config, &mut jitter));
+        assert!(!s.failed(t0 + config.deadline, &config, &mut jitter));
     }
 
     #[test]

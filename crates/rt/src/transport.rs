@@ -1,198 +1,29 @@
 //! Runtime-selectable transports.
 //!
-//! Two levels of abstraction:
-//!
-//! * [`Transport`] — an object-safe factory for *live* (wall-clock)
-//!   sessions: implemented by [`ThreadTransport`] (in-process channels)
-//!   and [`TcpTransport`] (loopback TCP links). The `flux` CLI and
-//!   integration tests pick one at runtime via [`TransportKind`].
-//! * [`ScriptTransport`] — runs a batch of scripted client workloads
-//!   ([`Op`] sequences) to completion and reports per-op results. All
-//!   three runtimes implement it: [`SimTransport`] in virtual time, and
-//!   every live [`Transport`] via a blanket impl that drives each script
-//!   on its own thread. The KAP benchmark runner is written against this
-//!   trait, so the same workload runs on the simulator or over real
-//!   sockets.
+//! [`ScriptTransport`] runs a batch of scripted client workloads ([`Op`]
+//! sequences) to completion and reports per-op results. All three
+//! runtimes implement it: [`SimTransport`] in virtual time, and
+//! [`LiveTransport<W>`] over either live wire, driving each script on
+//! its own thread. The KAP benchmark runner is written against this
+//! trait, so the same workload runs on the simulator or over real
+//! sockets. [`TransportKind`] names a runtime for CLI flags and test
+//! environment variables; callers match it once into a generic function
+//! over the wire.
 
 use crate::faults::FaultPlan;
-use crate::live::LiveClient;
+use crate::live::{LiveClient, LiveSession, Wire};
 use crate::script::{Op, ScriptClient};
 use crate::sim::SimSession;
-use crate::tcp::{TcpConfig, TcpSession};
-use crate::threads::ThreadSession;
 use flux_broker::client::{ClientCore, Delivery};
 use flux_broker::{BrokerConfig, CommsModule, RankOverlay};
 use flux_sim::{NetParams, SimTime};
 use flux_wire::{errnum, Rank};
-use std::fmt;
+use std::marker::PhantomData;
 use std::str::FromStr;
 use std::time::{Duration, Instant};
 
 /// The per-rank module factory every transport consumes.
 pub type ModuleFactory<'a> = &'a (dyn Fn(Rank) -> Vec<Box<dyn CommsModule>> + 'a);
-
-/// An object-safe factory for live comms sessions, so callers can pick
-/// the wire at runtime (`--transport tcp`).
-pub trait Transport {
-    /// Short name ("threads", "tcp").
-    fn name(&self) -> &'static str;
-
-    /// Opens a session builder for `size` brokers with tree `arity`.
-    fn open(&self, size: u32, arity: u32, factory: ModuleFactory<'_>) -> Box<dyn SessionBuilder>;
-
-    /// How long a script driver waits for any single op's reply on this
-    /// transport before recording `ETIMEDOUT`. Fault-injecting wrappers
-    /// shorten this so lossy runs don't stall for the full default.
-    fn op_timeout(&self) -> Duration {
-        LIVE_OP_TIMEOUT
-    }
-}
-
-/// A live session being assembled: attach clients, then start.
-pub trait SessionBuilder {
-    /// Attaches a client to `rank`'s broker.
-    fn attach_client(&mut self, rank: Rank) -> LiveClient;
-
-    /// Applies a fault-injection plan to the session's links.
-    fn set_faults(&mut self, plan: &FaultPlan);
-
-    /// Launches the session.
-    fn start(self: Box<Self>) -> Box<dyn LiveSession>;
-}
-
-/// A running live session.
-pub trait LiveSession {
-    /// Session size in brokers.
-    fn size(&self) -> u32;
-
-    /// Stops the session and joins its threads.
-    fn shutdown(self: Box<Self>);
-}
-
-/// The in-process channel transport ([`ThreadSession`]).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ThreadTransport;
-
-impl Transport for ThreadTransport {
-    fn name(&self) -> &'static str {
-        "threads"
-    }
-
-    fn open(&self, size: u32, arity: u32, factory: ModuleFactory<'_>) -> Box<dyn SessionBuilder> {
-        Box::new(ThreadSession::builder(size, arity, factory))
-    }
-}
-
-impl SessionBuilder for crate::threads::ThreadSessionBuilder {
-    fn attach_client(&mut self, rank: Rank) -> LiveClient {
-        crate::threads::ThreadSessionBuilder::attach_client(self, rank)
-    }
-
-    fn set_faults(&mut self, plan: &FaultPlan) {
-        crate::threads::ThreadSessionBuilder::set_faults(self, plan);
-    }
-
-    fn start(self: Box<Self>) -> Box<dyn LiveSession> {
-        Box::new((*self).start())
-    }
-}
-
-impl LiveSession for ThreadSession {
-    fn size(&self) -> u32 {
-        ThreadSession::size(self)
-    }
-
-    fn shutdown(self: Box<Self>) {
-        ThreadSession::shutdown(*self)
-    }
-}
-
-/// The loopback TCP transport ([`TcpSession`]).
-#[derive(Clone, Debug, Default)]
-pub struct TcpTransport {
-    /// Link tuning applied to every session this transport opens.
-    pub config: TcpConfig,
-}
-
-impl Transport for TcpTransport {
-    fn name(&self) -> &'static str {
-        "tcp"
-    }
-
-    fn open(&self, size: u32, arity: u32, factory: ModuleFactory<'_>) -> Box<dyn SessionBuilder> {
-        Box::new(TcpSession::builder(size, arity, factory).with_config(self.config.clone()))
-    }
-}
-
-impl SessionBuilder for crate::tcp::TcpSessionBuilder {
-    fn attach_client(&mut self, rank: Rank) -> LiveClient {
-        crate::tcp::TcpSessionBuilder::attach_client(self, rank)
-    }
-
-    fn set_faults(&mut self, plan: &FaultPlan) {
-        crate::tcp::TcpSessionBuilder::set_faults(self, plan);
-    }
-
-    fn start(self: Box<Self>) -> Box<dyn LiveSession> {
-        Box::new((*self).start())
-    }
-}
-
-impl LiveSession for TcpSession {
-    fn size(&self) -> u32 {
-        TcpSession::size(self)
-    }
-
-    fn shutdown(self: Box<Self>) {
-        TcpSession::shutdown(*self)
-    }
-}
-
-/// A [`Transport`] decorator that applies a [`FaultPlan`] to every
-/// session the inner transport opens, so the same seeded fault schedule
-/// that drives a simulator run can wrap the threads or TCP runtime.
-pub struct FaultyTransport {
-    inner: Box<dyn Transport>,
-    plan: FaultPlan,
-    op_timeout: Duration,
-}
-
-impl FaultyTransport {
-    /// Wraps `inner` so every opened session runs under `plan`. The
-    /// per-op script timeout defaults to 2 seconds: lossy links make
-    /// lost ops routine, and waiting the full [`LIVE_OP_TIMEOUT`] for
-    /// each would stall chaos runs.
-    pub fn new(inner: Box<dyn Transport>, plan: FaultPlan) -> FaultyTransport {
-        FaultyTransport { inner, plan, op_timeout: Duration::from_secs(2) }
-    }
-
-    /// Overrides the per-op script timeout.
-    pub fn with_op_timeout(mut self, timeout: Duration) -> FaultyTransport {
-        self.op_timeout = timeout;
-        self
-    }
-
-    /// The plan applied to opened sessions.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-}
-
-impl Transport for FaultyTransport {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn open(&self, size: u32, arity: u32, factory: ModuleFactory<'_>) -> Box<dyn SessionBuilder> {
-        let mut builder = self.inner.open(size, arity, factory);
-        builder.set_faults(&self.plan);
-        builder
-    }
-
-    fn op_timeout(&self) -> Duration {
-        self.op_timeout
-    }
-}
 
 /// Which runtime hosts a session. Parsed from CLI flags and test
 /// environment variables.
@@ -208,13 +39,12 @@ pub enum TransportKind {
 }
 
 impl TransportKind {
-    /// The live transport for this kind, or `None` for the simulator
-    /// (which runs in virtual time and has no live session form).
-    pub fn live(&self) -> Option<Box<dyn Transport>> {
+    /// Stable short name ("sim", "threads", "tcp").
+    pub fn name(self) -> &'static str {
         match self {
-            TransportKind::Sim => None,
-            TransportKind::Threads => Some(Box::new(ThreadTransport)),
-            TransportKind::Tcp => Some(Box::new(TcpTransport::default())),
+            TransportKind::Sim => "sim",
+            TransportKind::Threads => "threads",
+            TransportKind::Tcp => "tcp",
         }
     }
 }
@@ -233,16 +63,6 @@ impl FromStr for TransportKind {
                 Err(format!("unknown transport {other:?} (want sim, threads, tcp, or reactor)"))
             }
         }
-    }
-}
-
-impl fmt::Display for TransportKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            TransportKind::Sim => "sim",
-            TransportKind::Threads => "threads",
-            TransportKind::Tcp => "tcp",
-        })
     }
 }
 
@@ -393,6 +213,35 @@ impl ScriptTransport for SimTransport {
 /// recording `ETIMEDOUT` and abandoning the script.
 pub const LIVE_OP_TIMEOUT: Duration = Duration::from_secs(30);
 
+/// The per-op wait under a fault plan: lossy links make lost ops
+/// routine, and waiting the full [`LIVE_OP_TIMEOUT`] for each would stall
+/// a chaos sweep (its ops are answered within milliseconds or never).
+pub const FAULTY_OP_TIMEOUT: Duration = Duration::from_millis(200);
+
+/// A live session as a script runner, over the wire `W`
+/// ([`Channels`](crate::threads::Channels) or [`Tcp`](crate::tcp::Tcp)),
+/// optionally under a [`FaultPlan`] — the same seeded fault schedule that
+/// drives a simulator run.
+pub struct LiveTransport<W: Wire> {
+    faults: Option<FaultPlan>,
+    wire: PhantomData<W>,
+}
+
+impl<W: Wire> LiveTransport<W> {
+    /// A transport whose sessions run under `faults`, if any. Each op
+    /// waits [`FAULTY_OP_TIMEOUT`] with a plan, [`LIVE_OP_TIMEOUT`]
+    /// without one.
+    pub fn new(faults: Option<FaultPlan>) -> LiveTransport<W> {
+        LiveTransport { faults, wire: PhantomData }
+    }
+}
+
+impl<W: Wire> Default for LiveTransport<W> {
+    fn default() -> Self {
+        LiveTransport::new(None)
+    }
+}
+
 /// Drives one op script synchronously over a live client, stamping
 /// completion times relative to `epoch`. Any single op left unanswered
 /// for `op_timeout` records `ETIMEDOUT` and abandons the script.
@@ -447,9 +296,9 @@ pub fn drive_script(
     out
 }
 
-impl<T: Transport + ?Sized> ScriptTransport for T {
+impl<W: Wire> ScriptTransport for LiveTransport<W> {
     fn name(&self) -> &'static str {
-        Transport::name(self)
+        W::NAME
     }
 
     fn run_scripts(
@@ -459,11 +308,17 @@ impl<T: Transport + ?Sized> ScriptTransport for T {
         factory: ModuleFactory<'_>,
         scripts: Vec<(Rank, Vec<Op>)>,
     ) -> ScriptReport {
-        let mut builder = self.open(size, arity, factory);
+        let mut builder = LiveSession::<W>::builder(size, arity, factory);
+        let op_timeout = match &self.faults {
+            Some(plan) => {
+                builder.set_faults(plan);
+                FAULTY_OP_TIMEOUT
+            }
+            None => LIVE_OP_TIMEOUT,
+        };
         let clients: Vec<LiveClient> =
             scripts.iter().map(|(rank, _)| builder.attach_client(*rank)).collect();
         let epoch = Instant::now();
-        let op_timeout = self.op_timeout();
         let session = builder.start();
         let drivers: Vec<_> = clients
             .into_iter()

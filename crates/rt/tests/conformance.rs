@@ -8,5 +8,5 @@
 //! this file is the proof it is a drop-in replacement for the
 //! thread-per-link transport it replaced.
 
-flux_rt::transport_conformance!(threads, flux_rt::transport::ThreadTransport);
-flux_rt::transport_conformance!(reactor_tcp, flux_rt::transport::TcpTransport::default());
+flux_rt::transport_conformance!(threads, flux_rt::threads::Channels);
+flux_rt::transport_conformance!(reactor_tcp, flux_rt::tcp::Tcp);

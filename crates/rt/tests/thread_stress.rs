@@ -36,7 +36,7 @@ fn concurrent_fence_and_cross_reads() {
         .map(|(g, conn)| {
             std::thread::spawn(move || {
                 let mut kvs = KvsClient::new(conn.rank, conn.client_id);
-                let reply = |conn: &flux_rt::threads::ThreadClient,
+                let reply = |conn: &flux_rt::LiveClient,
                              kvs: &mut KvsClient|
                  -> KvsReply {
                     let msg = conn.recv_timeout(TIMEOUT).expect("reply in time");

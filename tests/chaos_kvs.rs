@@ -2,10 +2,10 @@
 //!
 //! * The simulator is fully deterministic: the same (workload, fault
 //!   plan) pair must produce bit-identical reports run-to-run.
-//! * The threaded runtime runs the same seeded workloads under the same
-//!   fault plans via the `FaultyTransport` decorator; wall-clock timing
-//!   varies, but every observed history must still satisfy the
-//!   consistency checker.
+//! * The live runtime runs the same seeded workloads under the same
+//!   fault plans on both wires (a `LiveTransport` carrying the plan);
+//!   wall-clock timing varies, but every observed history must still
+//!   satisfy the consistency checker.
 //!
 //! Reproduce any failing seed with:
 //!
@@ -15,8 +15,10 @@
 
 use flux_modules::standard_modules;
 use flux_rt::chaos;
-use flux_rt::transport::{FaultyTransport, ScriptTransport, TcpTransport, ThreadTransport};
-use std::time::Duration;
+use flux_rt::tcp::Tcp;
+use flux_rt::threads::Channels;
+use flux_rt::transport::{LiveTransport, ScriptTransport};
+use flux_rt::Wire;
 
 fn seed_range() -> Vec<u64> {
     if let Ok(one) = std::env::var("FLUX_CHAOS_SEED") {
@@ -92,13 +94,13 @@ fn sim_shard_master_blackout_during_fence() {
     }
 }
 
-/// A live runtime under the same seeded fault plans: every client
-/// history must pass the consistency checker.
-fn live_chaos_consistency_sweep(make: &dyn Fn() -> Box<dyn flux_rt::transport::Transport>) {
+/// A live wire under the same seeded fault plans: every client history
+/// must pass the consistency checker. With a plan, each op waits
+/// `FAULTY_OP_TIMEOUT` (200 ms).
+fn live_chaos_consistency_sweep<W: Wire>() {
     for seed in seed_range() {
         let w = chaos::workload(seed, 2_000_000, false);
-        let transport = FaultyTransport::new(make(), w.plan.clone())
-            .with_op_timeout(Duration::from_millis(200));
+        let transport = LiveTransport::<W>::new(Some(w.plan.clone()));
         let name = transport.name();
         let report =
             transport.run_scripts(w.size, w.arity, &|_| standard_modules(), w.scripts.clone());
@@ -116,7 +118,7 @@ fn live_chaos_consistency_sweep(make: &dyn Fn() -> Box<dyn flux_rt::transport::T
 
 #[test]
 fn threads_chaos_consistency_sweep() {
-    live_chaos_consistency_sweep(&|| Box::new(ThreadTransport));
+    live_chaos_consistency_sweep::<Channels>();
 }
 
 /// The poll-based reactor under the identical seeded fault plans: drops,
@@ -125,5 +127,5 @@ fn threads_chaos_consistency_sweep() {
 /// satisfy the consistency oracle.
 #[test]
 fn reactor_tcp_chaos_consistency_sweep() {
-    live_chaos_consistency_sweep(&|| Box::new(TcpTransport::default()));
+    live_chaos_consistency_sweep::<Tcp>();
 }

@@ -5,16 +5,17 @@
 //! epochs, the tree must re-parent the orphaned subtree so RPCs route
 //! around the hole, and when the window ends the broker's hello must
 //! produce `live.up`. Exercised on the simulator (exact virtual-time
-//! schedule) and the threaded runtime (wall clock, generous margins).
+//! schedule) and the live runtime on both wires (wall clock, generous
+//! margins).
 
 use flux_broker::BrokerConfig;
 use flux_modules::standard_modules;
 use flux_rt::chaos::HB_PERIOD_NS;
 use flux_rt::script::Op;
-use flux_rt::tcp::TcpSession;
-use flux_rt::threads::ThreadSession;
+use flux_rt::tcp::Tcp;
+use flux_rt::threads::Channels;
 use flux_rt::transport::{drive_script, ScriptTransport, SimTransport};
-use flux_rt::FaultPlan;
+use flux_rt::{FaultPlan, LiveSession, Wire};
 use flux_value::Value;
 use flux_wire::{Rank, Topic};
 use std::time::{Duration, Instant};
@@ -91,15 +92,14 @@ fn sim_kill_detects_reroutes_and_recovers() {
     );
 }
 
-/// Threaded runtime: 7 brokers, arity 2, heartbeats at 40ms. Rank 1
+/// A live wire: 7 brokers, arity 2, heartbeats at 40ms. Rank 1
 /// (children 3, 4) is blacked out for epochs [8, 24) = [320ms, 960ms).
 /// Same assertions as the simulator variant, with wall-clock margins of
 /// several epochs around every probe.
-#[test]
-fn threads_kill_detects_reroutes_and_recovers() {
+fn live_kill_detects_reroutes_and_recovers<W: Wire>() {
     const HB: u64 = 40_000_000;
     let plan = FaultPlan::new(0xF2).kill_epochs(Rank(1), 8..24, HB);
-    let mut builder = ThreadSession::builder(7, 2, |_| standard_modules());
+    let mut builder = LiveSession::<W>::builder(7, 2, |_| standard_modules());
     for r in 0..7 {
         let mut cfg = BrokerConfig::new(Rank(r), 7).with_arity(2);
         cfg.hb_period_ns = HB;
@@ -148,59 +148,16 @@ fn threads_kill_detects_reroutes_and_recovers() {
     assert_eq!(wk.replies[3].get("v").and_then(Value::as_uint), Some(9));
 }
 
-/// The reactor runtime: same scenario as the threads variant — rank 1
-/// blacked out for epochs [8, 24) at a 40ms heartbeat — but every
-/// heartbeat, re-parent, and re-routed RPC crosses real loopback sockets
-/// through the nonblocking reactor state machines.
+/// The threaded runtime: in-process channel links.
+#[test]
+fn threads_kill_detects_reroutes_and_recovers() {
+    live_kill_detects_reroutes_and_recovers::<Channels>();
+}
+
+/// The reactor runtime: every heartbeat, re-parent, and re-routed RPC
+/// crosses real loopback sockets through the nonblocking reactor state
+/// machines.
 #[test]
 fn reactor_tcp_kill_detects_reroutes_and_recovers() {
-    const HB: u64 = 40_000_000;
-    let plan = FaultPlan::new(0xF2).kill_epochs(Rank(1), 8..24, HB);
-    let mut builder = TcpSession::builder(7, 2, |_| standard_modules());
-    for r in 0..7 {
-        let mut cfg = BrokerConfig::new(Rank(r), 7).with_arity(2);
-        cfg.hb_period_ns = HB;
-        builder.set_config(Rank(r), cfg);
-    }
-    builder.set_faults(&plan);
-    let observer = builder.attach_client(Rank(0));
-    let worker = builder.attach_client(Rank(3));
-    let session = builder.start();
-    let epoch = Instant::now();
-
-    let obs_ops = vec![
-        Op::Pause(650_000_000),
-        status_op(),
-        Op::Pause(600_000_000),
-        status_op(),
-    ];
-    let wk_ops = vec![
-        Op::Pause(550_000_000),
-        Op::Put { key: "chaos.reroute".into(), val: Value::from(9i64) },
-        Op::Commit,
-        Op::Get { key: "chaos.reroute".into() },
-    ];
-    let timeout = Duration::from_secs(10);
-    let h_obs = std::thread::spawn(move || drive_script(&observer, &obs_ops, epoch, timeout));
-    let h_wk = std::thread::spawn(move || drive_script(&worker, &wk_ops, epoch, timeout));
-    let obs = h_obs.join().expect("observer driver panicked");
-    let wk = h_wk.join().expect("worker driver panicked");
-    session.shutdown();
-
-    assert!(obs.finished, "observer stalled: {:?}", obs.op_err);
-    let during = up_list(&obs.replies[1]);
-    assert!(
-        !during.contains(&1),
-        "rank 1 not reported down by 650ms (kill at 320ms, miss limit 3 @ 40ms); up = {during:?}"
-    );
-    let after = up_list(&obs.replies[3]);
-    assert!(after.contains(&1), "rank 1 not re-joined by 1.25s; up = {after:?}");
-
-    assert!(wk.finished, "worker stalled mid-blackout: {:?}", wk.op_err);
-    assert_eq!(
-        wk.op_err,
-        vec![0, 0, 0, 0],
-        "put/commit/get from the orphaned subtree must re-route and succeed"
-    );
-    assert_eq!(wk.replies[3].get("v").and_then(Value::as_uint), Some(9));
+    live_kill_detects_reroutes_and_recovers::<Tcp>();
 }

@@ -6,9 +6,10 @@ use flux_core::{Fcfs, Instance, InstanceConfig, JobSpec, JobState};
 use flux_modules::standard_modules;
 use flux_rt::script::{Op, ScriptClient};
 use flux_rt::sim::SimSession;
-use flux_rt::tcp::TcpSession;
-use flux_rt::threads::ThreadSession;
-use flux_rt::transport::{ScriptTransport, TcpTransport};
+use flux_rt::tcp::Tcp;
+use flux_rt::threads::Channels;
+use flux_rt::transport::{LiveTransport, ScriptTransport};
+use flux_rt::{LiveSession, Wire};
 use flux_sim::{NetParams, SimTime};
 use flux_value::Value;
 use flux_wire::{Rank, Topic};
@@ -94,25 +95,25 @@ fn standard_session_lifecycle_in_virtual_time() {
     );
 }
 
-/// The same broker + module code on OS threads, interoperating with a
-/// rank-addressed ping over the ring.
-#[test]
-fn threaded_session_with_standard_modules() {
-    let mut builder = ThreadSession::builder(6, 2, |_| standard_modules());
-    let client = builder.attach_client(Rank(4));
+/// The same broker + module code live: a rank-addressed ping from the
+/// client's broker to `ping_rank` proves the ring, then a KVS round trip
+/// of `key = val` proves tree routing and write-back over the wire `W`.
+fn live_session_with_standard_modules<W: Wire>(rank: Rank, ping_rank: Rank, key: &str, val: &str) {
+    let mut builder = LiveSession::<W>::builder(6, 2, |_| standard_modules());
+    let client = builder.attach_client(rank);
     let session = builder.start();
     let timeout = Duration::from_secs(10);
 
-    let mut core = ClientCore::new(Rank(4), client.client_id);
+    let mut core = ClientCore::new(rank, client.client_id);
     // Rank-addressed ping across the ring.
-    client.send(core.request_to(Rank(2), Topic::from_static("cmb.ping"), Value::object(), 1));
+    client.send(core.request_to(ping_rank, Topic::from_static("cmb.ping"), Value::object(), 1));
     let pong = client.recv_timeout(timeout).expect("pong");
-    assert_eq!(pong.payload.get("pong"), Some(&Value::Int(2)));
+    assert_eq!(pong.payload.get("pong"), Some(&Value::Int(i64::from(ping_rank.0))));
 
     // KVS round trip.
     client.send(core.request(
         Topic::from_static("kvs.put"),
-        Value::from_pairs([("k", Value::from("th.k")), ("v", Value::from("v"))]),
+        Value::from_pairs([("k", Value::from(key)), ("v", Value::from(val))]),
         2,
     ));
     assert!(!client.recv_timeout(timeout).expect("ack").is_error());
@@ -120,47 +121,25 @@ fn threaded_session_with_standard_modules() {
     assert!(!client.recv_timeout(timeout).expect("commit").is_error());
     client.send(core.request(
         Topic::from_static("kvs.get"),
-        Value::from_pairs([("k", Value::from("th.k"))]),
+        Value::from_pairs([("k", Value::from(key))]),
         4,
     ));
     let got = client.recv_timeout(timeout).expect("get");
-    assert_eq!(got.payload.get("v"), Some(&Value::from("v")));
+    assert_eq!(got.payload.get("v"), Some(&Value::from(val)));
 
     session.shutdown();
 }
 
-/// The same stack again, but with brokers wired over real loopback TCP
-/// sockets: a rank-addressed ping proves the ring, then a KVS round trip
-/// proves tree routing and write-back over the sockets.
+/// On OS threads with channel links.
+#[test]
+fn threaded_session_with_standard_modules() {
+    live_session_with_standard_modules::<Channels>(Rank(4), Rank(2), "th.k", "v");
+}
+
+/// With brokers wired over real loopback TCP sockets.
 #[test]
 fn tcp_session_with_standard_modules() {
-    let mut builder = TcpSession::builder(6, 2, |_| standard_modules());
-    let client = builder.attach_client(Rank(5));
-    let session = builder.start();
-    let timeout = Duration::from_secs(10);
-
-    let mut core = ClientCore::new(Rank(5), client.client_id);
-    client.send(core.request_to(Rank(3), Topic::from_static("cmb.ping"), Value::object(), 1));
-    let pong = client.recv_timeout(timeout).expect("pong over tcp");
-    assert_eq!(pong.payload.get("pong"), Some(&Value::Int(3)));
-
-    client.send(core.request(
-        Topic::from_static("kvs.put"),
-        Value::from_pairs([("k", Value::from("tcp.k")), ("v", Value::from("sockets"))]),
-        2,
-    ));
-    assert!(!client.recv_timeout(timeout).expect("ack").is_error());
-    client.send(core.request(Topic::from_static("kvs.commit"), Value::object(), 3));
-    assert!(!client.recv_timeout(timeout).expect("commit").is_error());
-    client.send(core.request(
-        Topic::from_static("kvs.get"),
-        Value::from_pairs([("k", Value::from("tcp.k"))]),
-        4,
-    ));
-    let got = client.recv_timeout(timeout).expect("get");
-    assert_eq!(got.payload.get("v"), Some(&Value::from("sockets")));
-
-    session.shutdown();
+    live_session_with_standard_modules::<Tcp>(Rank(5), Rank(3), "tcp.k", "sockets");
 }
 
 /// A 16-broker loopback-TCP session wires up and completes a full KVS
@@ -184,7 +163,7 @@ fn tcp_session_16_brokers_full_kvs_cycle() {
         })
         .collect();
     let report =
-        TcpTransport::default().run_scripts(size, 2, &|_| standard_modules(), scripts);
+        LiveTransport::<Tcp>::default().run_scripts(size, 2, &|_| standard_modules(), scripts);
     assert_eq!(report.outcomes.len(), size as usize);
     for (r, out) in report.outcomes.iter().enumerate() {
         assert!(out.finished, "rank {r} did not finish");
